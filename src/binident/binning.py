@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 from typing import Iterator
 
 from . import budgets
-from .distributions import Distribution, total_variation
+from .distributions import Distribution, to_integers
 
 
 class InfeasibleBinningError(ValueError):
@@ -104,15 +104,6 @@ def _admissible(partition: IntervalPartition, q: Distribution, nonempty: bool) -
     return all(not (q.pmf[j] > 0 and partition.is_empty(j)) for j in range(q.n))
 
 
-def _common_scale(p_hat: Distribution, q: Distribution) -> tuple[list[int], list[int], int]:
-    scale = 1
-    for v in (*p_hat.prefix, *q.pmf):
-        scale = math.lcm(scale, v.denominator)
-    pre = [v.numerator * (scale // v.denominator) for v in p_hat.prefix]
-    ref = [v.numerator * (scale // v.denominator) for v in q.pmf]
-    return pre, ref, scale
-
-
 def min_binned_discrepancy(
     p_hat: Distribution, q: Distribution, require_nonempty_on_support: bool
 ) -> BinningResult:
@@ -131,7 +122,7 @@ def min_binned_discrepancy(
                 f"{positive} positive-mass bins cannot each receive a nonempty "
                 f"interval of a {n}-element domain"
             )
-    pre, ref, scale = _common_scale(p_hat, q)
+    (pre, ref), scale = to_integers(p_hat.prefix, q.pmf)
 
     # suffix[j][i]: least cost of covering elements i+1..n with bins j+1..k.
     suffix: list[list[int | None]] = [[None] * (n + 1) for _ in range(k + 1)]
@@ -264,10 +255,3 @@ def greedy_repair(
         surplus[j2] += delta
     return Distribution(new)
 
-
-def repair_tv_identity(
-    p: Distribution, partition: IntervalPartition, q: Distribution
-) -> tuple[Distribution, Fraction]:
-    """Repaired distribution plus its exact distance from p."""
-    repaired = greedy_repair(p, partition, q)
-    return repaired, total_variation(p, repaired)

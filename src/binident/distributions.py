@@ -31,9 +31,7 @@ def as_fraction(value: Rational) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("booleans are not probabilities")
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    if isinstance(value, float):
+    if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
@@ -179,19 +177,16 @@ def total_variation(d1: Distribution, d2: Distribution) -> Fraction:
     return sum(abs(a - b) for a, b in zip(d1.pmf, d2.pmf)) / 2
 
 
-def scaled_prefix_difference(d1: Distribution, d2: Distribution) -> tuple[list[int], int]:
-    """Prefix differences as integers over a common denominator.
+def to_integers(*vectors: Sequence[Fraction]) -> tuple[list[list[int]], int]:
+    """Scale rational vectors to integers over one common denominator.
 
-    Returns (diffs, scale) with diffs[i] = (d1.prefix[i] - d2.prefix[i]) * scale.
+    Returns (scaled, scale) with scaled[v][i] = vectors[v][i] * scale, where
+    scale is the LCM of every denominator.  This is the package's single
+    place that turns rationals into integers for the exact kernels.
     """
-    scale = 1
-    for p in (*d1.prefix, *d2.prefix):
-        scale = math.lcm(scale, p.denominator)
-    diffs = []
-    for a, b in zip(d1.prefix, d2.prefix):
-        d = a - b
-        diffs.append(d.numerator * (scale // d.denominator))
-    return diffs, scale
+    scale = math.lcm(*(x.denominator for vec in vectors for x in vec))
+    scaled = [[x.numerator * (scale // x.denominator) for x in vec] for vec in vectors]
+    return scaled, scale
 
 
 def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
@@ -206,7 +201,8 @@ def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
     n = d1.n
     if not 1 <= ell <= n:
         raise ValueError(f"interval count {ell} outside [1, {n}]")
-    diffs, scale = scaled_prefix_difference(d1, d2)
+    (pre1, pre2), scale = to_integers(d1.prefix, d2.prefix)
+    diffs = [a - b for a, b in zip(pre1, pre2)]
     # best[i] = max value of a j-interval partition of the first i elements;
     # |x| = max(x, -x) splits the transition into two running maxima.
     best: list[int | None] = [None] * (n + 1)

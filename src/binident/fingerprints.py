@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from . import budgets
-from .distributions import Distribution, SampleSet
+from .distributions import Distribution, SampleSet, to_integers
 
 
 @dataclass(frozen=True)
@@ -86,38 +86,41 @@ def multinomial(s: int, parts: tuple[int, ...]) -> int:
     return coeff
 
 
-def _integer_pmf(d: Distribution) -> tuple[list[int], int]:
-    scale = 1
-    for v in d.pmf:
-        scale = math.lcm(scale, v.denominator)
-    return [v.numerator * (scale // v.denominator) for v in d.pmf], scale
+def raw_moment_sums(
+    values: Sequence[int], comps: Iterable[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Integer fingerprint sums of integer masses, one per composition.
+
+    For counts (c_1, ..., c_t) the sum runs over i_1 < ... < i_t of
+    prod_j values[i_j]^c_j, by DP over (position, composition prefix).  With
+    values = pmf * scale it is the fingerprint probability times
+    scale^s / multinomial(s; counts).  This is the package's one fingerprint
+    DP; zero entries contribute nothing and are dropped once up front.
+    """
+    nonzero = [a for a in values if a]
+    sums = []
+    for counts in comps:
+        t = len(counts)
+        g = [0] * (t + 1)
+        g[0] = 1
+        for a in nonzero:
+            for j in range(t, 0, -1):
+                if g[j - 1]:
+                    g[j] += g[j - 1] * a ** counts[j - 1]
+        sums.append(g[t])
+    return tuple(sums)
 
 
-def _raw_moment_sum(values: list[int], counts: tuple[int, ...]) -> int:
-    # sum over i_1 < ... < i_t of prod_j values[i_j]^counts[j], by DP over
-    # (position, composition prefix); zero entries contribute nothing.
-    t = len(counts)
-    g = [0] * (t + 1)
-    g[0] = 1
-    for a in values:
-        if a == 0:
-            continue
-        for j in range(t, 0, -1):
-            if g[j - 1]:
-                g[j] += g[j - 1] * a ** counts[j - 1]
-    return g[t]
+def _as_fingerprint(f: OrderedFingerprint | Iterable[int]) -> OrderedFingerprint:
+    return f if isinstance(f, OrderedFingerprint) else OrderedFingerprint(f)
 
 
 def moment(d: Distribution, fingerprint: OrderedFingerprint | Iterable[int]) -> Fraction:
     """Exact probability that s draws from d show this ordered fingerprint."""
-    f = (
-        fingerprint
-        if isinstance(fingerprint, OrderedFingerprint)
-        else OrderedFingerprint(fingerprint)
-    )
+    f = _as_fingerprint(fingerprint)
     budgets.check("moment_terms", (d.n + 1) * f.t, "DP cells")
-    values, scale = _integer_pmf(d)
-    raw = _raw_moment_sum(values, f.counts)
+    (values,), scale = to_integers(d.pmf)
+    (raw,) = raw_moment_sums(values, [f.counts])
     return Fraction(multinomial(f.s, f.counts) * raw, scale**f.s)
 
 
@@ -125,11 +128,7 @@ def moment_exhaustive(
     d: Distribution, fingerprint: OrderedFingerprint | Iterable[int]
 ) -> Fraction:
     """Literal summation over all C(n, t) index tuples; oracle for `moment`."""
-    f = (
-        fingerprint
-        if isinstance(fingerprint, OrderedFingerprint)
-        else OrderedFingerprint(fingerprint)
-    )
+    f = _as_fingerprint(fingerprint)
     budgets.check(
         "moment_literal_terms", math.comb(d.n, f.t) * max(f.t, 1), "summation steps"
     )
@@ -158,30 +157,21 @@ class MomentVector:
         if total != 1:
             raise ValueError(f"fingerprint probabilities sum to {total}, not 1")
 
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.entries)
-
-    def probability(self, counts: Iterable[int]) -> Fraction:
-        want = tuple(counts)
-        for comp, value in self.entries:
-            if comp == want:
-                return value
-        raise KeyError(want)
-
 
 def moment_vector(d: Distribution, s: int) -> MomentVector:
     """All s-draw fingerprint probabilities of d, in lexicographic order."""
     if s < 1:
         raise ValueError("s must be at least 1")
+    # The compositions of s have (s + 1) * 2^(s - 2) parts in total (1 at
+    # s = 1); guard on that count before listing 2^(s - 1) of them.
+    parts = (s + 1) << (s - 2) if s >= 2 else 1
+    budgets.check("moment_terms", (d.n + 1) * parts, "DP cells")
     comps = list(compositions(s))
-    budgets.check(
-        "moment_terms", (d.n + 1) * sum(len(c) for c in comps), "DP cells"
-    )
-    values, scale = _integer_pmf(d)
+    (values,), scale = to_integers(d.pmf)
     denom = scale**s
     entries = tuple(
-        (c, Fraction(multinomial(s, c) * _raw_moment_sum(values, c), denom))
-        for c in comps
+        (c, Fraction(multinomial(s, c) * raw, denom))
+        for c, raw in zip(comps, raw_moment_sums(values, comps))
     )
     return MomentVector(s, entries)
 

@@ -29,17 +29,13 @@ from .distributions import (
 from .lowerbound import (
     HardInstancePair,
     MassString,
-    block_overflow_probability,
-    block_overflow_trial,
     find_hard_pair,
+    make_hard_instance,
+    sample_size_curve,
 )
-from .tester import TestConfig, bin_identity_test
+from .tester import accept_rate, error_curve
 
 EXPERIMENT_KINDS = ("test-curve", "overflow-curve", "hard-pair-search", "calibration")
-
-
-def _fraction_to_json(value: Fraction) -> str:
-    return str(value)
 
 
 def _entry_to_fraction(entry: Any, exact: bool, position: int) -> Fraction:
@@ -54,7 +50,11 @@ def _entry_to_fraction(entry: Any, exact: bool, position: int) -> Fraction:
         )
     if isinstance(entry, bool) or not isinstance(entry, (int, float)):
         raise ValueError(f"entry {position}: not a number: {entry!r}")
-    return Fraction(entry)
+    try:
+        return Fraction(entry)
+    except (ValueError, OverflowError) as exc:
+        # json.load accepts Infinity, NaN and overflowing literals like 1e400.
+        raise ValueError(f"entry {position}: not a finite number: {entry!r}") from exc
 
 
 def distribution_from_json(data: Mapping[str, Any], exact: bool = False) -> Distribution:
@@ -65,17 +65,11 @@ def distribution_from_json(data: Mapping[str, Any], exact: bool = False) -> Dist
     if not isinstance(pmf, list) or len(pmf) != n:
         raise ValueError(f'"pmf" must be a list of length n = {n}')
     masses = [_entry_to_fraction(v, exact, i + 1) for i, v in enumerate(pmf)]
-    for i, v in enumerate(masses):
-        if v < 0:
-            raise ValueError(f"entry {i + 1}: negative mass {v}")
-    total = sum(masses)
-    if total != 1:
-        raise ValueError(f"pmf sums to {total}; deficit {1 - total}")
     return Distribution(masses)
 
 
 def distribution_to_json(d: Distribution) -> dict:
-    return {"n": d.n, "pmf": [_fraction_to_json(v) for v in d.pmf]}
+    return {"n": d.n, "pmf": [str(v) for v in d.pmf]}
 
 
 def load_distribution(path: str, exact: bool = False) -> Distribution:
@@ -104,7 +98,7 @@ def hard_pair_to_json(pair: HardInstancePair) -> dict:
     return {
         "m": pair.m,
         "b": pair.b,
-        "rho": _fraction_to_json(pair.rho),
+        "rho": str(pair.rho),
         "k_prime": pair.k_prime,
         "x": pair.x.symbols,
         "y": pair.y.symbols,
@@ -167,8 +161,8 @@ class ExperimentResult:
 
 
 def _cell(value: Any) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "1" if value else "0"
     return str(value)
@@ -197,34 +191,23 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
     q = _resolve_distribution(params, "q")
     epsilons = [as_fraction(e) for e in params["epsilons"]]
     constant = as_fraction(params.get("constant", 16))
-    base = normalize_seed(spec.master_seed)
+    curve = error_curve(p, q, epsilons, spec.trials, spec.master_seed, constant)
     columns = (
         "kind", "epsilon", "constant", "master_seed",
         "trial", "seed", "samples", "delta", "threshold", "verdict",
     )
-    rows = []
-    accepts: dict[Fraction, int] = {}
-    for eps in epsilons:
-        accepts[eps] = 0
-        for t in range(spec.trials):
-            cfg = TestConfig(eps, learn_constant=constant, seed=base + t)
-            report = bin_identity_test(p, q, p.n, cfg)
-            if report.accepted:
-                accepts[eps] += 1
-            rows.append(
-                (
-                    spec.kind, eps, constant, spec.master_seed,
-                    t, base + t, report.samples_used,
-                    report.delta if report.delta is not None else "",
-                    report.threshold, report.verdict,
-                )
-            )
+    rows = tuple(
+        (
+            spec.kind, r["epsilon"], constant, spec.master_seed,
+            r["trial"], r["seed"], r["samples"], r["delta"], r["threshold"],
+            r["verdict"],
+        )
+        for r in curve
+    )
     summary = {
-        "accept_rate": {
-            str(eps): str(Fraction(hits, spec.trials)) for eps, hits in accepts.items()
-        }
+        "accept_rate": {str(eps): str(accept_rate(curve, eps)) for eps in epsilons}
     }
-    return ExperimentResult(columns, tuple(rows), summary)
+    return ExperimentResult(columns, rows, summary)
 
 
 def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
@@ -270,40 +253,29 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
         m = int(params["m"])
         b = int(params["b"])
         rho = as_fraction(params.get("rho", Fraction(99, 100)))
-        k_prime = int(params["k_prime"])
-        found = find_hard_pair(m, b, rho)
-        if found is None:
+        pair = make_hard_instance(m, b, rho, int(params["k_prime"]))
+        if pair is None:
             raise ValueError(f"no moment-matched pair exists at m={m}, b={b}")
-        pair = HardInstancePair.build(found[0], found[1], m, rho, k_prime)
     s_grid = [int(s) for s in params["s_grid"]]
+    curve = sample_size_curve(pair, s_grid, spec.trials, spec.master_seed)
     base = normalize_seed(spec.master_seed)
     columns = (
         "kind", "m", "b", "k_prime", "master_seed",
         "s", "trial", "seed", "overflow", "exact_probability",
     )
-    rows = []
-    fractions: dict[int, Fraction] = {}
-    exacts: dict[int, Fraction] = {}
-    for s in s_grid:
-        exact = block_overflow_probability(pair.k_prime, s, pair.m)
-        hits = 0
-        for t in range(spec.trials):
-            overflow = block_overflow_trial(pair, s, base + t)
-            if overflow:
-                hits += 1
-            rows.append(
-                (
-                    spec.kind, pair.m, pair.b, pair.k_prime, spec.master_seed,
-                    s, t, base + t, overflow, exact,
-                )
-            )
-        fractions[s] = Fraction(hits, spec.trials)
-        exacts[s] = exact
+    rows = tuple(
+        (
+            spec.kind, pair.m, pair.b, pair.k_prime, spec.master_seed,
+            r["s"], t, base + t, overflow, r["exact_probability"],
+        )
+        for r in curve
+        for t, overflow in enumerate(r["outcomes"])
+    )
     summary = {
-        "overflow_fraction": {str(s): str(v) for s, v in fractions.items()},
-        "exact_probability": {str(s): str(v) for s, v in exacts.items()},
+        "overflow_fraction": {str(r["s"]): str(r["overflow_fraction"]) for r in curve},
+        "exact_probability": {str(r["s"]): str(r["exact_probability"]) for r in curve},
     }
-    return ExperimentResult(columns, tuple(rows), summary)
+    return ExperimentResult(columns, rows, summary)
 
 
 def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:

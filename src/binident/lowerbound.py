@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 from . import budgets
 from .distributions import Distribution, Rational, as_fraction, normalize_seed, sample
 from .binning import coarsening_distance
-from .fingerprints import compositions, moment_vector
+from .fingerprints import compositions, moment_vector, raw_moment_sums
 
 _ALPHABET = {"2", "3"}
 
@@ -146,24 +146,6 @@ def is_partial_cyclic_shift(x: MassString, y: MassString, r: int) -> CyclicShift
     return CyclicShiftResult(False)
 
 
-def _raw_fingerprint_key(
-    digits: Sequence[int], comps: Sequence[tuple[int, ...]]
-) -> tuple[int, ...]:
-    # Integer fingerprint sums: equal keys mean equal moment vectors, since
-    # the multinomial factor and the 2/(5b) scaling are string-independent.
-    key = []
-    for counts in comps:
-        t = len(counts)
-        g = [0] * (t + 1)
-        g[0] = 1
-        for a in digits:
-            for j in range(t, 0, -1):
-                if g[j - 1]:
-                    g[j] += g[j - 1] * a ** counts[j - 1]
-        key.append(g[t])
-    return tuple(key)
-
-
 def find_hard_pair(
     m: int, b: int, rho: Rational
 ) -> tuple[MassString, MassString] | None:
@@ -184,7 +166,9 @@ def find_hard_pair(
     order: list[MassString] = []
     keys: dict[str, tuple[int, ...]] = {}
     for ms in balanced_strings(b):
-        key = _raw_fingerprint_key(ms.digits(), comps)
+        # Equal keys mean equal moment vectors: the multinomial factor and
+        # the 2/(5b) scaling are the same for every string.
+        key = raw_moment_sums(ms.digits(), comps)
         buckets.setdefault(key, []).append(ms)
         order.append(ms)
         keys[ms.symbols] = key
@@ -340,7 +324,9 @@ def sample_size_curve(
     values into a single block, the precondition for fingerprints to carry
     any distinguishing signal.  Trial t reuses seed + t at every grid point,
     so the empirical fractions are monotone in s by construction and each
-    point still matches its exact probability marginally.
+    point still matches its exact probability marginally.  Each row carries
+    the per-trial results in trial order as "outcomes" (overflow_count is
+    their sum).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -350,13 +336,13 @@ def sample_size_curve(
         if s < 0:
             raise ValueError("sample sizes must be nonnegative")
         exact = block_overflow_probability(pair.k_prime, s, pair.m)
-        hits = sum(
-            1 for t in range(trials) if block_overflow_trial(pair, s, base + t)
-        )
+        outcomes = [block_overflow_trial(pair, s, base + t) for t in range(trials)]
+        hits = sum(outcomes)
         rows.append(
             {
                 "s": s,
                 "trials": trials,
+                "outcomes": outcomes,
                 "overflow_count": hits,
                 "overflow_fraction": Fraction(hits, trials),
                 "exact_probability": exact,

@@ -148,7 +148,10 @@ def error_curve(
 
     Trial t runs with seed master_seed + t at every epsilon, so the whole
     table is reproducible from master_seed alone.  One row per
-    (epsilon, trial); the accept frequency is recomputable from the rows.
+    (epsilon, trial) with keys epsilon, trial, seed, samples, delta (None
+    when q admits no binning of [n]), threshold (the accept cutoff the
+    delta was compared against) and verdict; the accept frequency is
+    recomputable from the rows.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -166,6 +169,7 @@ def error_curve(
                     "seed": base + t,
                     "samples": report.samples_used,
                     "delta": report.delta,
+                    "threshold": report.threshold,
                     "verdict": report.verdict,
                 }
             )

@@ -86,6 +86,21 @@ class TestSampling:
         with pytest.raises(ValueError, match="nonnegative"):
             sample(staircase_p20, -1, 0)
 
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (0, (1, 3, 3, 4, 4, 3, 6, 6, 3, 3, 6, 3)),
+            (1, (4, 6, 3, 1, 6, 1, 6, 3, 4, 3, 3, 6)),
+            (2**64 + 5, (6, 4, 3, 4, 3, 6, 6, 6, 6, 1, 1, 6)),
+            (-1, (3, 6, 4, 6, 4, 6, 4, 4, 1, 1, 3, 3)),
+        ],
+    )
+    def test_golden_streams(self, seed, expected):
+        # Pinned draws: a faster sampler must reproduce these streams exactly,
+        # including the skipped zero-mass elements 2 and 5 and seed reduction.
+        d = Distribution.from_weights([1, 0, 2, 3, 0, 4])
+        assert sample(d, 12, seed).values == expected
+
 
 class TestEmpirical:
     def test_repeats_collapse_to_point_mass(self):

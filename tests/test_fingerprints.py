@@ -144,6 +144,23 @@ class TestMomentVector:
         monkeypatch.setenv("BINIDENT_BUDGET", "50000")
         assert sum(v for _, v in moment_vector(d, 8).entries) == 1
 
+    def test_budget_guard_fires_before_listing_compositions(self, monkeypatch):
+        # The guard counts every part of every composition of s ...
+        monkeypatch.setenv("BINIDENT_BUDGET", "1")
+        for s in range(1, 9):
+            cells = 4 * sum(len(c) for c in compositions(s))
+            with pytest.raises(BudgetExceededError, match=f": {cells} DP cells"):
+                moment_vector(Distribution.uniform(3), s)
+        monkeypatch.delenv("BINIDENT_BUDGET")
+
+        # ... without listing the 2^(s-1) compositions first.
+        def refuse(s):
+            raise AssertionError("compositions listed before the budget check")
+
+        monkeypatch.setattr("binident.fingerprints.compositions", refuse)
+        with pytest.raises(BudgetExceededError, match="DP cells"):
+            moment_vector(Distribution.uniform(2), 20)
+
     def test_empirical_frequencies_match(self):
         d = Distribution.from_weights([1, 2, 3])
         s, runs = 3, 100_000

@@ -1,5 +1,7 @@
 """Tests for serialization and the experiment runner."""
 
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -64,6 +66,9 @@ class TestDistributionSerialization:
             distribution_from_json({"n": 3, "pmf": ["1"]})
         with pytest.raises(ValueError, match="rational string"):
             distribution_from_json({"n": 1, "pmf": ["one"]})
+        for bad in ('{"n": 2, "pmf": [Infinity, 0]}', '{"n": 1, "pmf": [NaN]}'):
+            with pytest.raises(ValueError, match="entry 1: not a finite number"):
+                distribution_from_json(json.loads(bad))
 
     def test_json_uses_exact_strings(self, two_mode_p6):
         data = distribution_to_json(two_mode_p6)
@@ -199,3 +204,78 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError, match='"p"'):
             run_experiment(spec)
+
+
+# One small spec per experiment kind (plus the no-binning and not-found
+# branches), with the sha256 of the CSV bytes and of the sorted-key JSON
+# summary.  These pin the exact output, so a refactor of the runners or of
+# the kernels below them cannot change a file silently.
+GOLDEN_RUNS = {
+    "test-curve": (
+        "test-curve",
+        {
+            "p": {"n": 6, "pmf": ["1/20", "2/5", "1/20", "1/80", "37/80", "1/40"]},
+            "q": {"n": 2, "pmf": ["1/2", "1/2"]},
+            "epsilons": ["1/10", "1/2"],
+            "constant": "1",
+        },
+        7,
+        3,
+        "4a496f0c68e9e76cde56c7a56f35bd5d48e65dc5d873d06422ac3555f1f21e5e",
+        "b71987176665ded049db63bb2556e0d7664f6488d274b13f7bc0b2e259decc99",
+    ),
+    "test-curve-no-binning": (
+        "test-curve",
+        {
+            "p": {"n": 1, "pmf": ["1"]},
+            "q": {"n": 2, "pmf": ["1/2", "1/2"]},
+            "epsilons": ["1/10", "2/5"],
+        },
+        5,
+        2,
+        "c359a2daec4e9fc4fd11f07ba089d51eec821a34143933810bfb421836c56a99",
+        "224dbb30b2570a34428d02c9fd7de39f95d96a08fe7b494783d74f19fa3d4922",
+    ),
+    "overflow-curve": (
+        "overflow-curve",
+        {"m": 1, "b": 4, "rho": "1", "k_prime": 5, "s_grid": [0, 2, 4, 7]},
+        3,
+        6,
+        "687ee695d526198f7ed067100939bd4b48829bca20605c8876e556a49a3cdeb8",
+        "73b83be28e72753c59d8c47ddb9d40db69cd228471b260dab672b334d01cca4d",
+    ),
+    "calibration": (
+        "calibration",
+        {"n": 12, "k": 3, "epsilon": "1/2", "constant": "8"},
+        11,
+        4,
+        "e1fcf967eb4eb83a84209ec4c9605d6d5407086dc9e57e82b10c328868b406e7",
+        "61092d5d7d22a12def00a0c229b56eb27c4737058b54a6fd2a17d9712aa6a1f6",
+    ),
+    "hard-pair-search": (
+        "hard-pair-search",
+        {"m": 2, "b": 8, "rho": "3/4"},
+        0,
+        1,
+        "ad9976610b9fe0b5ccdaa4d3f1e9abc090c98fa2d01b30cf0bc64b99f3f475a2",
+        "d4f3a5478b69b0113fc41d97fac59e8a627012545a9dc36a7c9239c1a572688d",
+    ),
+    "hard-pair-search-none": (
+        "hard-pair-search",
+        {"m": 3, "b": 4, "rho": "1"},
+        0,
+        1,
+        "d00d1fe416f9d827c18a05855217529b71b302fa30f87b2a52ecf0bcd1672598",
+        "0ea0f25b83971f889ce7ca4977388d8725f0cf8ad50854b123362f13ee674b68",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_outputs(tmp_path, name):
+    kind, params, seed, trials, csv_sha, summary_sha = GOLDEN_RUNS[name]
+    out = tmp_path / f"{name}.csv"
+    result = run_experiment(ExperimentSpec(kind, params, seed, trials, str(out)))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    summary = json.dumps(result.summary, sort_keys=True).encode()
+    assert hashlib.sha256(summary).hexdigest() == summary_sha
