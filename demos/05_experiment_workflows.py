@@ -14,7 +14,8 @@ from pathlib import Path
 
 from binident import ExperimentSpec, run_experiment
 
-workdir = Path(tempfile.mkdtemp(prefix="binident-demo-"))
+tmp = tempfile.TemporaryDirectory(prefix="binident-demo-")
+workdir = Path(tmp.name)
 print("writing CSVs under", workdir)
 print()
 
@@ -69,3 +70,4 @@ before = (workdir / "calibration.csv").read_bytes()
 run_experiment(specs[0])
 print()
 print("rerun byte-identical:", (workdir / "calibration.csv").read_bytes() == before)
+tmp.cleanup()

@@ -200,8 +200,6 @@ def coarsening_distance(p: Distribution, q: Distribution) -> Fraction:
 
 def brute_force_ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
     """Enumeration oracle for the interval-partition distance (small sizes)."""
-    if d1.n != d2.n:
-        raise ValueError(f"domain sizes differ: {d1.n} vs {d2.n}")
     best = Fraction(0)
     for partition in enumerate_partitions(d1.n, ell):
         value = sum(
@@ -223,8 +221,6 @@ def greedy_repair(
     lands on the lowest-index element of the receiving interval, making the
     result deterministic.
     """
-    if partition.n != p.n:
-        raise ValueError(f"domain sizes differ: {p.n} vs {partition.n}")
     if partition.k != q.n:
         raise ValueError(f"partition has {partition.k} intervals, reference {q.n} bins")
     masses = list(partition.masses(p))

@@ -22,6 +22,7 @@ DEFAULT_LIMITS: dict[str, int] = {
     "hard_pair_strings": 184_756,        # balanced strings, C(b, b/2) at b = 20
     "claim_domain": 200,                 # blown-up domain size b * k'
     "overflow_transitions": 2_000_000,   # occupancy-DP transitions
+    "sample_draws": 10_000_000,          # draws in one sample() call
 }
 
 
@@ -49,7 +50,9 @@ def check(name: str, work: int, unit: str) -> None:
     """Raise BudgetExceededError when `work` exceeds the named ceiling."""
     ceiling = limit(name)
     if work > ceiling:
+        # Huge counts are shown by magnitude: str() refuses ints over 4300 digits.
+        shown = work if work.bit_length() <= 64 else f"over 2^{work.bit_length() - 1}"
         raise BudgetExceededError(
-            f"{name}: {work} {unit} exceeds budget {ceiling}"
+            f"{name}: {shown} {unit} exceeds budget {ceiling}"
             f" (override with {ENV_VAR})"
         )

@@ -1,15 +1,17 @@
 """Command-line interface.
 
 Subcommands: test, akdist, coarse-dist, fingerprint, moments, gen-hard,
-verify-claim, overflow, experiment.  Every subcommand takes --seed,
---format json|csv and --exact.  ``binident test`` exits 0 on accept, 1 on
-reject, 2 on error; all other subcommands exit 0 on success, 2 on error.
+verify-claim, overflow, experiment.  All but experiment (always JSON) take
+--format json|csv; those that load distributions (test, akdist, coarse-dist,
+moments) take --exact; only test takes --seed.  ``binident test`` exits 0
+on accept, 1 on reject, 2 on error; the others exit 0 on success, 2 on error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -18,7 +20,7 @@ from . import harness, lowerbound
 from .binning import coarsening_distance
 from .distributions import Distribution, SampleSet, ak_distance, sample
 from .fingerprints import fingerprint_of, moment_vector
-from .tester import TestConfig, bin_identity_test
+from .tester import DEFAULT_LEARN_CONSTANT, TestConfig, bin_identity_test
 
 EXIT_ACCEPT = 0
 EXIT_REJECT = 1
@@ -48,11 +50,8 @@ def _cmd_test(args) -> int:
         learn_constant=Fraction(args.constant),
         seed=args.seed,
     )
-    if args.samples is not None:
-        drawn = sample(p, args.samples, cfg.seed)
-        report = bin_identity_test(drawn, q, args.n, cfg)
-    else:
-        report = bin_identity_test(p, q, args.n, cfg)
+    source = p if args.samples is None else sample(p, args.samples, cfg.seed)
+    report = bin_identity_test(source, q, args.n, cfg)
     _emit(
         {
             "verdict": report.verdict,
@@ -147,19 +146,17 @@ def _cmd_overflow(args) -> int:
 def _cmd_experiment(args) -> int:
     spec = harness.load_experiment_spec(args.spec)
     if args.out:
-        spec = harness.ExperimentSpec(
-            spec.kind, spec.parameters, spec.master_seed, spec.trials, args.out
-        )
+        spec = dataclasses.replace(spec, output_path=args.out)
     result = harness.run_experiment(spec)
     print(json.dumps({"rows": len(result.rows), "summary": result.summary}, indent=2))
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument(
+    formatted = argparse.ArgumentParser(add_help=False)
+    formatted.add_argument("--format", choices=("json", "csv"), default="json")
+    loading = argparse.ArgumentParser(add_help=False, parents=[formatted])
+    loading.add_argument(
         "--exact",
         action="store_true",
         help="require rational-string entries when loading distributions",
@@ -171,54 +168,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_test = sub.add_parser("test", parents=[common], help="run the binned identity test")
+    p_test = sub.add_parser("test", parents=[loading], help="run the binned identity test")
+    p_test.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
     p_test.add_argument("--p", required=True, help="distribution JSON file, or - for stdin")
     p_test.add_argument("--q", required=True, help="reference distribution JSON file")
     p_test.add_argument("--n", type=int, required=True, help="domain size of p")
     p_test.add_argument("--eps", required=True, help="distance parameter, e.g. 1/10")
     p_test.add_argument("--samples", type=int, default=None, help="override sample count")
-    p_test.add_argument("--constant", default="16", help="sampling constant C")
+    p_test.add_argument(
+        "--constant", default=str(DEFAULT_LEARN_CONSTANT), help="sampling constant C"
+    )
     p_test.set_defaults(func=_cmd_test)
 
-    p_ak = sub.add_parser("akdist", parents=[common], help="interval-partition distance")
+    p_ak = sub.add_parser("akdist", parents=[loading], help="interval-partition distance")
     p_ak.add_argument("--d1", required=True)
     p_ak.add_argument("--d2", required=True)
     p_ak.add_argument("--ell", type=int, required=True)
     p_ak.set_defaults(func=_cmd_akdist)
 
-    p_cd = sub.add_parser("coarse-dist", parents=[common], help="coarsening distance")
+    p_cd = sub.add_parser("coarse-dist", parents=[loading], help="coarsening distance")
     p_cd.add_argument("--p", required=True)
     p_cd.add_argument("--q", required=True)
     p_cd.set_defaults(func=_cmd_coarse_dist)
 
-    p_fp = sub.add_parser("fingerprint", parents=[common], help="ordered fingerprint of samples")
+    p_fp = sub.add_parser("fingerprint", parents=[formatted], help="ordered fingerprint of samples")
     p_fp.add_argument("--samples", required=True, help="comma-separated values, e.g. 12,7,98,7")
     p_fp.set_defaults(func=_cmd_fingerprint)
 
-    p_mo = sub.add_parser("moments", parents=[common], help="fingerprint probabilities")
+    p_mo = sub.add_parser("moments", parents=[loading], help="fingerprint probabilities")
     p_mo.add_argument("--d", required=True)
     p_mo.add_argument("--s", type=int, required=True)
     p_mo.set_defaults(func=_cmd_moments)
 
-    p_gh = sub.add_parser("gen-hard", parents=[common], help="search for a hard instance pair")
+    p_gh = sub.add_parser("gen-hard", parents=[formatted], help="search for a hard instance pair")
     p_gh.add_argument("--m", type=int, required=True)
     p_gh.add_argument("--b", type=int, required=True)
-    p_gh.add_argument("--rho", default="99/100")
+    p_gh.add_argument("--rho", default=str(lowerbound.DEFAULT_RHO))
     p_gh.add_argument("--k-prime", type=int, default=2, dest="k_prime")
     p_gh.add_argument("--out", required=True)
     p_gh.set_defaults(func=_cmd_gen_hard)
 
-    p_vc = sub.add_parser("verify-claim", parents=[common], help="blow-up distance of a stored pair")
+    p_vc = sub.add_parser("verify-claim", parents=[formatted], help="blow-up distance of a stored pair")
     p_vc.add_argument("--pair", required=True)
     p_vc.set_defaults(func=_cmd_verify_claim)
 
-    p_of = sub.add_parser("overflow", parents=[common], help="exact block-overflow probability")
+    p_of = sub.add_parser("overflow", parents=[formatted], help="exact block-overflow probability")
     p_of.add_argument("--k", type=int, required=True)
     p_of.add_argument("--s", type=int, required=True)
     p_of.add_argument("--m", type=int, required=True)
     p_of.set_defaults(func=_cmd_overflow)
 
-    p_ex = sub.add_parser("experiment", parents=[common], help="run an experiment spec")
+    p_ex = sub.add_parser("experiment", help="run an experiment spec")
     p_ex.add_argument("--spec", required=True, help="experiment spec JSON file")
     p_ex.add_argument("--out", default=None, help="override the spec output path")
     p_ex.set_defaults(func=_cmd_experiment)

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from . import budgets
+
 RESOLUTION_BITS = 64
 _SCALE = 1 << RESOLUTION_BITS
 
@@ -148,6 +150,7 @@ def sample(d: Distribution, s: int, seed: int) -> SampleSet:
         raise ValueError("sample count must be nonnegative")
     if s == 0:
         return SampleSet((), seed=seed)
+    budgets.check("sample_draws", s, "draws")
     raws = np.random.Philox(key=normalize_seed(seed)).random_raw(s)
     thresholds = d._cdf_thresholds
     values = tuple(bisect_right(thresholds, int(u)) + 1 for u in raws)

@@ -15,6 +15,7 @@ cannot be told apart from ordered fingerprints alone.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -59,9 +60,7 @@ def fingerprint_of(samples: SampleSet) -> OrderedFingerprint:
     """Multiplicities of the distinct sample values, in value order."""
     if samples.s == 0:
         raise ValueError("cannot fingerprint an empty sample")
-    counts: dict[int, int] = {}
-    for v in samples.values:
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(samples.values)
     return OrderedFingerprint(counts[v] for v in sorted(counts))
 
 
@@ -158,14 +157,19 @@ class MomentVector:
             raise ValueError(f"fingerprint probabilities sum to {total}, not 1")
 
 
+def check_moment_budget(n: int, s: int) -> None:
+    """Guard an s-draw fingerprint table over n elements before listing it."""
+    # The compositions of s have (s + 1) * 2^(s - 2) parts in total (1 at
+    # s = 1), and the DP spends n + 1 cells on each part.
+    parts = (s + 1) << (s - 2) if s >= 2 else 1
+    budgets.check("moment_terms", (n + 1) * parts, "DP cells")
+
+
 def moment_vector(d: Distribution, s: int) -> MomentVector:
     """All s-draw fingerprint probabilities of d, in lexicographic order."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    # The compositions of s have (s + 1) * 2^(s - 2) parts in total (1 at
-    # s = 1); guard on that count before listing 2^(s - 1) of them.
-    parts = (s + 1) << (s - 2) if s >= 2 else 1
-    budgets.check("moment_terms", (d.n + 1) * parts, "DP cells")
+    check_moment_budget(d.n, s)
     comps = list(compositions(s))
     (values,), scale = to_integers(d.pmf)
     denom = scale**s

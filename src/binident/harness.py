@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -27,15 +26,15 @@ from .distributions import (
     sample,
 )
 from .lowerbound import (
+    DEFAULT_RHO,
     HardInstancePair,
     MassString,
     find_hard_pair,
     make_hard_instance,
     sample_size_curve,
+    shift_threshold,
 )
-from .tester import accept_rate, error_curve
-
-EXPERIMENT_KINDS = ("test-curve", "overflow-curve", "hard-pair-search", "calibration")
+from .tester import DEFAULT_LEARN_CONSTANT, TestConfig, accept_rate, error_curve
 
 
 def _entry_to_fraction(entry: Any, exact: bool, position: int) -> Fraction:
@@ -147,7 +146,7 @@ class ExperimentSpec:
     output_path: str
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
@@ -190,7 +189,7 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
     p = _resolve_distribution(params, "p")
     q = _resolve_distribution(params, "q")
     epsilons = [as_fraction(e) for e in params["epsilons"]]
-    constant = as_fraction(params.get("constant", 16))
+    constant = as_fraction(params.get("constant", DEFAULT_LEARN_CONSTANT))
     curve = error_curve(p, q, epsilons, spec.trials, spec.master_seed, constant)
     columns = (
         "kind", "epsilon", "constant", "master_seed",
@@ -213,15 +212,14 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
 def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     k = int(params["k"])
-    eps = as_fraction(params["epsilon"])
-    constant = as_fraction(params.get("constant", 16))
+    cfg = TestConfig(params["epsilon"], params.get("constant", DEFAULT_LEARN_CONSTANT))
     if "p" in params or "p_file" in params:
         p = _resolve_distribution(params, "p")
     else:
         p = Distribution.uniform(int(params["n"]))
     n = p.n
-    target = eps / 4
-    samples = math.ceil(constant * k / eps**2)
+    target = cfg.accept_threshold
+    samples = cfg.sample_budget(k)
     base = normalize_seed(spec.master_seed)
     columns = (
         "kind", "n", "k", "epsilon", "constant", "master_seed",
@@ -237,7 +235,7 @@ def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
             passed += 1
         rows.append(
             (
-                spec.kind, n, k, eps, constant, spec.master_seed,
+                spec.kind, n, k, cfg.epsilon, cfg.learn_constant, spec.master_seed,
                 t, base + t, samples, err, target, ok,
             )
         )
@@ -252,7 +250,7 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
     else:
         m = int(params["m"])
         b = int(params["b"])
-        rho = as_fraction(params.get("rho", Fraction(99, 100)))
+        rho = as_fraction(params.get("rho", DEFAULT_RHO))
         pair = make_hard_instance(m, b, rho, int(params["k_prime"]))
         if pair is None:
             raise ValueError(f"no moment-matched pair exists at m={m}, b={b}")
@@ -282,10 +280,10 @@ def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     m = int(params["m"])
     b = int(params["b"])
-    rho = as_fraction(params.get("rho", Fraction(99, 100)))
+    rho = as_fraction(params.get("rho", DEFAULT_RHO))
     found = find_hard_pair(m, b, rho)
     columns = ("kind", "m", "b", "rho", "shift_threshold", "found", "x", "y")
-    r = math.ceil(rho * b)
+    r = shift_threshold(rho, b)
     if found is None:
         rows = ((spec.kind, m, b, rho, r, False, "", ""),)
         summary = {"found": False}

@@ -16,16 +16,19 @@ The ingredients, all exact:
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import budgets
 from .distributions import Distribution, Rational, as_fraction, normalize_seed, sample
 from .binning import coarsening_distance
-from .fingerprints import compositions, moment_vector, raw_moment_sums
+from .fingerprints import check_moment_budget, compositions, moment_vector, raw_moment_sums
 
 _ALPHABET = {"2", "3"}
+DEFAULT_RHO = Fraction(99, 100)  # rho in the ceil(rho * b)-partial shift test
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ class MassString:
         return Distribution(Fraction(2 * x, 5 * b) for x in self.digits())
 
     def rotated(self, offset: int) -> "MassString":
-        b = self.b
-        return MassString("".join(self.symbols[(i + offset) % b] for i in range(b)))
+        o = offset % self.b if self.b else 0
+        return MassString(self.symbols[o:] + self.symbols[:o])
 
 
 def balanced_strings(b: int) -> Iterator[MassString]:
@@ -66,22 +69,13 @@ def balanced_strings(b: int) -> Iterator[MassString]:
     if b < 2 or b % 2 != 0:
         raise ValueError("b must be a positive even integer")
     budgets.check("hard_pair_strings", math.comb(b, b // 2), "strings")
-
-    def emit(prefix: list[str], twos: int, threes: int) -> Iterator[str]:
-        if twos == 0 and threes == 0:
-            yield "".join(prefix)
-            return
-        if twos:
-            prefix.append("2")
-            yield from emit(prefix, twos - 1, threes)
-            prefix.pop()
-        if threes:
-            prefix.append("3")
-            yield from emit(prefix, twos, threes - 1)
-            prefix.pop()
-
-    for symbols in emit([], b // 2, b // 2):
-        yield MassString(symbols)
+    # Increasing position tuples of the 2s give the strings in lexicographic
+    # order, because "2" < "3".
+    for twos in combinations(range(b), b // 2):
+        symbols = ["3"] * b
+        for i in twos:
+            symbols[i] = "2"
+        yield MassString("".join(symbols))
 
 
 def _lcs_with_pairs(a: str, c: str) -> list[tuple[int, int]]:
@@ -124,6 +118,11 @@ class CyclicShiftResult:
     matches: tuple[tuple[int, int], ...] | None = None
 
 
+def shift_threshold(rho: Fraction, b: int) -> int:
+    """r = ceil(rho * b), the LCS length at which strings count as shifts."""
+    return math.ceil(rho * b)
+
+
 def is_partial_cyclic_shift(x: MassString, y: MassString, r: int) -> CyclicShiftResult:
     """True iff some rotation of y shares a common subsequence of length >= r with x.
 
@@ -160,26 +159,19 @@ def find_hard_pair(
     rho_f = as_fraction(rho)
     if not 0 < rho_f <= 1:
         raise ValueError("rho must lie in (0, 1]")
-    r = math.ceil(rho_f * b)
+    r = shift_threshold(rho_f, b)
+    # HardInstancePair.build checks the same table for any pair found.
+    check_moment_budget(b, m)
     comps = list(compositions(m))
-    buckets: dict[tuple[int, ...], list[MassString]] = {}
-    order: list[MassString] = []
-    keys: dict[str, tuple[int, ...]] = {}
-    for ms in balanced_strings(b):
-        # Equal keys mean equal moment vectors: the multinomial factor and
-        # the 2/(5b) scaling are the same for every string.
-        key = raw_moment_sums(ms.digits(), comps)
-        buckets.setdefault(key, []).append(ms)
-        order.append(ms)
-        keys[ms.symbols] = key
-    for x in order:
-        mates = buckets[keys[x.symbols]]
-        if len(mates) < 2:
-            continue
-        for y in mates:
-            if y.symbols <= x.symbols:
-                continue
-            if not is_partial_cyclic_shift(x, y, r).is_shift:
+    # Equal keys mean equal moment vectors: the multinomial factor and the
+    # 2/(5b) scaling are the same for every string.
+    keyed = [(ms, raw_moment_sums(ms.digits(), comps)) for ms in balanced_strings(b)]
+    buckets = defaultdict(list)
+    for ms, key in keyed:
+        buckets[key].append(ms)
+    for x, key in keyed:
+        for y in buckets[key]:
+            if y.symbols > x.symbols and not is_partial_cyclic_shift(x, y, r).is_shift:
                 return x, y
     return None
 
@@ -196,11 +188,9 @@ def block_construct(
         raise ValueError(f"base domain sizes differ: {p_base.n} vs {q_base.n}")
     if k_prime < 1:
         raise ValueError("k_prime must be at least 1")
-    p_big = Distribution(
-        [v / k_prime for _ in range(k_prime) for v in p_base.pmf]
-    )
-    q_big = Distribution(
-        [v / k_prime for _ in range(k_prime) for v in q_base.pmf]
+    p_big, q_big = (
+        Distribution([v / k_prime for _ in range(k_prime) for v in d.pmf])
+        for d in (p_base, q_base)
     )
     return p_big, q_big
 
@@ -239,7 +229,7 @@ class HardInstancePair:
         for s in range(1, m + 1):
             if moment_vector(p_base, s) != moment_vector(q_base, s):
                 raise ValueError(f"bases disagree on some {s}-draw fingerprint")
-        r = math.ceil(rho_f * b)
+        r = shift_threshold(rho_f, b)
         if is_partial_cyclic_shift(x, y, r).is_shift:
             raise ValueError(f"bases are {r}-partial cyclic shifts of each other")
         p_big, q_big = block_construct(p_base, q_base, k_prime)
@@ -298,18 +288,10 @@ def block_overflow_probability(k_prime: int, s: int, m: int) -> Fraction:
     return 1 - Fraction(ways[s], k_prime**s)
 
 
-def _block_of(value: int, b: int) -> int:
-    return (value - 1) // b
-
-
 def block_overflow_trial(pair: HardInstancePair, s: int, seed: int) -> bool:
     """Whether s draws from the blown-up p put > m values into one block."""
-    draws = sample(pair.p_big, s, seed)
-    occupancy: dict[int, int] = {}
-    for v in draws.values:
-        blk = _block_of(v, pair.b)
-        occupancy[blk] = occupancy.get(blk, 0) + 1
-    return bool(occupancy) and max(occupancy.values()) >= pair.m + 1
+    occupancy = Counter((v - 1) // pair.b for v in sample(pair.p_big, s, seed).values)
+    return max(occupancy.values(), default=0) > pair.m
 
 
 def sample_size_curve(

@@ -32,6 +32,7 @@ from .distributions import (
 
 ACCEPT = "accept"
 REJECT = "reject"
+DEFAULT_LEARN_CONSTANT = Fraction(16)  # C in s = ceil(C * k / eps^2)
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,14 @@ class TestConfig:
     __test__ = False  # keep pytest from collecting this as a test class
 
     epsilon: Fraction
-    learn_constant: Fraction = Fraction(16)
-    accept_threshold_fraction: Fraction = Fraction(1, 4)
-    seed: int = 0
+    learn_constant: Fraction
+    accept_threshold_fraction: Fraction
+    seed: int
 
     def __init__(
         self,
         epsilon: Rational,
-        learn_constant: Rational = Fraction(16),
+        learn_constant: Rational = DEFAULT_LEARN_CONSTANT,
         accept_threshold_fraction: Rational = Fraction(1, 4),
         seed: int = 0,
     ):
@@ -142,7 +143,7 @@ def error_curve(
     epsilons: list,
     trials: int,
     master_seed: int,
-    learn_constant: Rational = Fraction(16),
+    learn_constant: Rational = DEFAULT_LEARN_CONSTANT,
 ) -> list[dict]:
     """Accept/reject outcomes over an epsilon grid of seeded trials.
 

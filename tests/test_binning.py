@@ -187,3 +187,9 @@ class TestGreedyRepair:
         q = random_full_support(rng, 2)
         partition = IntervalPartition([0, 3, 6])
         assert greedy_repair(p, partition, q) == greedy_repair(p, partition, q)
+
+    def test_domain_mismatch(self):
+        partition = IntervalPartition([0, 1, 3])
+        q = Distribution.uniform(2)
+        with pytest.raises(ValueError, match="domain sizes differ"):
+            greedy_repair(Distribution.uniform(4), partition, q)

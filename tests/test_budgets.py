@@ -2,7 +2,14 @@
 
 import pytest
 
-from binident import BudgetExceededError, balanced_strings, enumerate_partitions
+from binident import (
+    BudgetExceededError,
+    Distribution,
+    balanced_strings,
+    enumerate_partitions,
+    moment_vector,
+    sample,
+)
 from binident.budgets import DEFAULT_LIMITS, limit
 
 
@@ -33,3 +40,15 @@ class TestGuardedOperations:
     def test_raised_budget_unblocks(self, monkeypatch):
         monkeypatch.setenv("BINIDENT_BUDGET", "1000000")
         assert sum(1 for _ in balanced_strings(4)) == 6
+
+    def test_sample_draw_ceiling(self, monkeypatch):
+        monkeypatch.setenv("BINIDENT_BUDGET", "100")
+        d = Distribution.uniform(3)
+        assert sample(d, 100, 0).s == 100
+        with pytest.raises(BudgetExceededError, match="sample_draws: 101 draws"):
+            sample(d, 101, 0)
+
+    def test_huge_work_reported_by_magnitude(self):
+        # 3 * 20001 * 2^19998 DP cells: over 6000 digits, past what str() formats.
+        with pytest.raises(BudgetExceededError, match=r"over 2\^20013 DP cells"):
+            moment_vector(Distribution.uniform(2), 20000)

@@ -152,6 +152,38 @@ class TestExperimentCommand:
         assert out_path.exists()
 
 
+# Flags that a subcommand would accept and then ignore are not offered.
+REMOVED_FLAGS = [
+    ("experiment", ["--format", "csv"]),
+    *[(cmd, ["--exact"]) for cmd in
+      ("fingerprint", "gen-hard", "verify-claim", "overflow", "experiment")],
+    *[(cmd, ["--seed", "1"]) for cmd in
+      ("akdist", "coarse-dist", "fingerprint", "moments", "gen-hard",
+       "verify-claim", "overflow", "experiment")],
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag", REMOVED_FLAGS, ids=[f"{c}{f[0]}" for c, f in REMOVED_FLAGS]
+)
+def test_ignored_flags_are_refused(command, flag, tmp_path, capsys):
+    path = str(tmp_path / "x.json")
+    required = {
+        "akdist": ["--d1", path, "--d2", path, "--ell", "2"],
+        "coarse-dist": ["--p", path, "--q", path],
+        "fingerprint": ["--samples", "1,2"],
+        "moments": ["--d", path, "--s", "2"],
+        "gen-hard": ["--m", "1", "--b", "4", "--out", path],
+        "verify-claim": ["--pair", path],
+        "overflow": ["--k", "2", "--s", "2", "--m", "1"],
+        "experiment": ["--spec", path],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestExactFlag:
     def test_exact_mode_rejects_float_files(self, tmp_path, capsys):
         path = tmp_path / "f.json"

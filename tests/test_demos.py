@@ -23,3 +23,13 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_demo_05_removes_its_temp_dir(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmp_path))
+    demo = ROOT / "demos" / "05_experiment_workflows.py"
+    done = subprocess.run(
+        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert not list(tmp_path.glob("binident-demo-*"))

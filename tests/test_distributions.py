@@ -209,6 +209,10 @@ class TestIntervalDistance:
         with pytest.raises(ValueError, match="outside"):
             ak_distance(d, d, 4)
 
+    def test_oracle_domain_mismatch(self):
+        with pytest.raises(ValueError, match="domain sizes differ"):
+            brute_force_ak_distance(Distribution.uniform(2), Distribution.uniform(3), 2)
+
 
 class TestSampleSet:
     def test_values_below_one_rejected(self):

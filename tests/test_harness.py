@@ -205,6 +205,15 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match='"p"'):
             run_experiment(spec)
 
+    @pytest.mark.parametrize(
+        "epsilon, constant, message",
+        [("2", "16", "epsilon must lie"), ("1/5", "0", "learn constant must be positive")],
+    )
+    def test_calibration_refuses_invalid_tester_settings(self, epsilon, constant, message):
+        params = {"n": 20, "k": 2, "epsilon": epsilon, "constant": constant}
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentSpec("calibration", params, 0, 1, ""))
+
 
 # One small spec per experiment kind (plus the no-binning and not-found
 # branches), with the sha256 of the CSV bytes and of the sorted-key JSON

@@ -150,6 +150,19 @@ class TestFindHardPair:
         with pytest.raises(ValueError, match="rho"):
             find_hard_pair(1, 4, 2)
 
+    def test_moment_budget_checked_before_listing_compositions(self, monkeypatch):
+        # The same table HardInstancePair.build checks: m = 11 fits at b = 2.
+        assert find_hard_pair(11, 2, 1) is None
+        with pytest.raises(BudgetExceededError, match="DP cells"):
+            find_hard_pair(12, 2, 1)
+
+        def refuse(s):
+            raise AssertionError("compositions listed before the budget check")
+
+        monkeypatch.setattr("binident.lowerbound.compositions", refuse)
+        with pytest.raises(BudgetExceededError, match="DP cells"):
+            find_hard_pair(30, 2, 1)
+
 
 class TestBlockConstruct:
     def test_single_block_is_identity(self):
