@@ -4,13 +4,23 @@ The central operation takes a distribution over [n] and a reference over
 [k] and minimizes the summed bin discrepancy sum_j |p(I_j) - q(j)| over all
 partitions of [n] into k consecutive, possibly empty intervals, optionally
 requiring a nonempty interval for every positive-mass bin.  A suffix DP
-gives the exact minimum in O(n^2 k); enumeration oracles are kept alongside
-for cross-checks at small sizes.
+over integer-scaled prefix masses gives the exact minimum in O(n k);
+enumeration oracles are kept alongside for cross-checks at small sizes.
+
+Each DP row costs O(n).  Bin j starting after element i with target
+T = pre[i] + q_j pays |pre[x] - T| + tail[x] for a next bound x, which is
+pre[x] + tail[x] - T once pre[x] >= T and tail[x] - pre[x] + T below that.
+As pre is nondecreasing, the split h(i), the first x with pre[x] >= T,
+never moves left as i grows, and neither does the first admissible x (i,
+or i + 1 when the bin must be nonempty).  So the part at or above the split
+is a suffix minimum of pre + tail, and the part below it is a window
+minimum of tail - pre whose both ends only move right: a monotone deque.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -112,9 +122,11 @@ def min_binned_discrepancy(
     With the flag set, every bin j with q(j) > 0 must receive a nonempty
     interval; raises InfeasibleBinningError when more bins carry positive
     mass than there are domain elements.  The witness is the optimal
-    partition with lexicographically smallest bounds.
+    partition with lexicographically smallest bounds.  Tables of more than
+    the `binning_cells` budget of (n+1)*k cells are refused up front.
     """
     n, k = p_hat.n, q.n
+    budgets.check("binning_cells", (n + 1) * k, "DP cells")
     if require_nonempty_on_support:
         positive = sum(1 for v in q.pmf if v > 0)
         if positive > n:
@@ -129,20 +141,41 @@ def min_binned_discrepancy(
     suffix[k][n] = 0
     for j in range(k - 1, -1, -1):
         qj = ref[j]
-        must_fill = require_nonempty_on_support and qj > 0
-        nxt_row = suffix[j + 1]
+        shift = int(require_nonempty_on_support and qj > 0)
+        tail = suffix[j + 1]
+        # above[x]: least pre[y] + tail[y] over feasible y >= x.
+        above: list[int | None] = [None] * (n + 2)
+        best: int | None = None
+        for x in range(n, -1, -1):
+            t = tail[x]
+            if t is not None:
+                v = pre[x] + t
+                if best is None or v < best:
+                    best = v
+            above[x] = best
+        low = [None if t is None else t - p for t, p in zip(tail, pre)]
         row = suffix[j]
+        window: deque[int] = deque()  # feasible x in [start, h), low[x] rising
+        h = 0
         for i in range(n + 1):
-            start = i + 1 if must_fill else i
-            best: int | None = None
-            pi = pre[i]
-            for nxt in range(start, n + 1):
-                tail = nxt_row[nxt]
-                if tail is None:
-                    continue
-                cost = abs(pre[nxt] - pi - qj) + tail
-                if best is None or cost < best:
-                    best = cost
+            start = i + shift
+            target = pre[i] + qj
+            while h <= n and pre[h] < target:
+                v = low[h]
+                if v is not None:
+                    while window and low[window[-1]] >= v:
+                        window.pop()
+                    window.append(h)
+                h += 1
+            while window and window[0] < start:
+                window.popleft()
+            best = above[start if start > h else h]
+            if best is not None:
+                best -= target
+            if window:
+                v = low[window[0]] + target
+                if best is None or v < best:
+                    best = v
             row[i] = best
 
     total = suffix[0][0]

@@ -23,6 +23,7 @@ DEFAULT_LIMITS: dict[str, int] = {
     "claim_domain": 200,                 # blown-up domain size b * k'
     "overflow_transitions": 2_000_000,   # occupancy-DP transitions
     "sample_draws": 10_000_000,          # draws in one sample() call
+    "binning_cells": 4_000_000,          # binning DP cells, (n + 1) * k
 }
 
 

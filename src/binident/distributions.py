@@ -10,7 +10,6 @@ runs reproducible at a documented per-draw bias below 2**-63.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,14 +75,19 @@ class Distribution:
         return tuple(out)
 
     @cached_property
-    def _cdf_thresholds(self) -> list[int]:
+    def _cdf_thresholds(self) -> np.ndarray:
         # ceil(prefix[i] * 2**64) for i = 1..n; a draw u lands on the smallest
         # element whose threshold exceeds u, so zero-mass elements are
-        # unreachable (their threshold repeats the previous one).
+        # unreachable (their threshold repeats the previous one).  Thresholds
+        # of 2**64 or more form a suffix that no 64-bit draw reaches; they are
+        # dropped so the rest fit in uint64.
         out = []
         for p in self.prefix[1:]:
-            out.append(-((-p.numerator * _SCALE) // p.denominator))
-        return out
+            t = -((-p.numerator * _SCALE) // p.denominator)
+            if t >= _SCALE:
+                break
+            out.append(t)
+        return np.array(out, dtype=np.uint64)
 
     @classmethod
     def uniform(cls, n: int) -> "Distribution":
@@ -152,9 +156,9 @@ def sample(d: Distribution, s: int, seed: int) -> SampleSet:
         return SampleSet((), seed=seed)
     budgets.check("sample_draws", s, "draws")
     raws = np.random.Philox(key=normalize_seed(seed)).random_raw(s)
-    thresholds = d._cdf_thresholds
-    values = tuple(bisect_right(thresholds, int(u)) + 1 for u in raws)
-    return SampleSet(values, seed=seed)
+    values = np.searchsorted(d._cdf_thresholds, raws, side="right")
+    values += 1  # in place: large draws hold one s-entry array fewer at peak
+    return SampleSet(values.tolist(), seed=seed)
 
 
 def empirical(samples: SampleSet, n: int) -> Distribution:

@@ -127,6 +127,36 @@ class TestMinBinnedDiscrepancy:
                 assert best <= partition_discrepancy(p, partition, q)
 
 
+class TestBinningBudget:
+    def test_refused_with_budget_message(self):
+        # (4000 + 1) * 1000 DP cells, just over the default 4 * 10^6.
+        p, q = Distribution.uniform(4000), Distribution.uniform(1000)
+        for flag in (False, True):
+            with pytest.raises(
+                BudgetExceededError,
+                match="binning_cells: 4001000 DP cells exceeds budget 4000000",
+            ):
+                min_binned_discrepancy(p, q, flag)
+        with pytest.raises(BudgetExceededError, match="binning_cells"):
+            coarsening_distance(p, q)
+
+    def test_ceiling_counts_cells(self, monkeypatch):
+        monkeypatch.setenv("BINIDENT_BUDGET", "20")
+        q = Distribution.uniform(4)
+        assert min_binned_discrepancy(Distribution.uniform(4), q, True).delta == 0
+        with pytest.raises(BudgetExceededError, match="binning_cells: 24 DP cells"):
+            min_binned_discrepancy(Distribution.uniform(5), q, True)
+
+    def test_guard_fires_before_scaling(self, monkeypatch):
+        def refuse(*vectors):
+            raise AssertionError("masses scaled before the budget check")
+
+        monkeypatch.setattr("binident.binning.to_integers", refuse)
+        p, q = Distribution.uniform(4000), Distribution.uniform(1000)
+        with pytest.raises(BudgetExceededError, match="DP cells"):
+            min_binned_discrepancy(p, q, False)
+
+
 class TestCoarseningDistance:
     def test_two_mode_instance(self, two_mode_p6, two_mode_q6):
         assert coarsening_distance(two_mode_p6, two_mode_q6) == 0

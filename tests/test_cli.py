@@ -55,6 +55,18 @@ class TestTestCommand:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["test", "coarse-dist"])
+    def test_binning_budget_exit_two(self, tmp_path, capsys, command):
+        # (4000 + 1) * 1000 binning DP cells: refused before the table is built.
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        store_distribution(Distribution.uniform(4000), str(p))
+        store_distribution(Distribution.uniform(1000), str(q))
+        argv = ["--p", str(p), "--q", str(q)]
+        if command == "test":
+            argv += ["--n", "4000", "--eps", "1/2", "--samples", "10"]
+        assert main([command, *argv]) == 2
+        assert "binning_cells: 4001000 DP cells" in capsys.readouterr().err
+
     def test_explicit_sample_count(self, p20_file, q4_file, capsys):
         rc = main([
             "test", "--p", p20_file, "--q", q4_file,

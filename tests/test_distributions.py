@@ -1,7 +1,10 @@
 """Tests for exact distributions, sampling, and the distance operations."""
 
+import math
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from binident import (
@@ -100,6 +103,39 @@ class TestSampling:
         # including the skipped zero-mass elements 2 and 5 and seed reduction.
         d = Distribution.from_weights([1, 0, 2, 3, 0, 4])
         assert sample(d, 12, seed).values == expected
+
+
+def reference_draws(d: Distribution, s: int, seed: int) -> tuple[int, ...]:
+    """The documented rule: the smallest i with u < ceil(prefix[i] * 2**64)."""
+    thresholds = [math.ceil(p * 2**64) for p in d.prefix[1:]]
+    raws = np.random.Philox(key=seed % 2**64).random_raw(s)
+    return tuple(bisect_right(thresholds, int(u)) + 1 for u in raws)
+
+
+class TestSamplerEdgeCases:
+    SEEDS = (0, 1, 7, 2**64 + 5, -1, 123456789)
+
+    @pytest.mark.parametrize(
+        "pmf",
+        [
+            ["1/3", "0", "2/3", "0", "0"],  # trailing zero masses: thresholds of 2^64
+            ["1", "0", "0", "0"],           # point mass at element 1: no threshold kept
+            ["0", "0", "0", "1"],           # point mass at element n
+            ["1"],                          # n = 1
+            [Fraction(2**70 - 1, 2**70), Fraction(1, 2**70)],  # last mass below 2^-64
+            ["1/7", "2/7", "0", "3/7", "1/7"],
+        ],
+    )
+    def test_matches_documented_rule(self, pmf):
+        d = Distribution(pmf)
+        for seed in self.SEEDS:
+            assert sample(d, 300, seed).values == reference_draws(d, 300, seed)
+
+    def test_matches_documented_rule_on_random_distributions(self, rng):
+        for _ in range(40):
+            d = random_distribution(rng, rng.randint(1, 12))
+            seed = rng.randint(-(2**70), 2**70)
+            assert sample(d, 200, seed).values == reference_draws(d, 200, seed)
 
 
 class TestEmpirical:
