@@ -129,12 +129,18 @@ class SampleSet:
     values: tuple[int, ...]
     seed: int | None = None
 
-    def __init__(self, values: Iterable[int], seed: int | None = None):
-        object.__setattr__(self, "values", tuple(int(v) for v in values))
-        object.__setattr__(self, "seed", seed)
-        for v in self.values:
+    def __init__(self, values: Iterable[int] | np.ndarray, seed: int | None = None):
+        if isinstance(values, np.ndarray):
+            # One vectorized check; tolist() already yields Python ints.
+            low = [values.min()] if values.size else []
+            stored = tuple(values.tolist())
+        else:
+            low = stored = tuple(int(v) for v in values)
+        for v in low:
             if v < 1:
                 raise ValueError(f"sample value {v} outside [1, n]")
+        object.__setattr__(self, "values", stored)
+        object.__setattr__(self, "seed", seed)
 
     @property
     def s(self) -> int:
@@ -158,7 +164,7 @@ def sample(d: Distribution, s: int, seed: int) -> SampleSet:
     raws = np.random.Philox(key=normalize_seed(seed)).random_raw(s)
     values = np.searchsorted(d._cdf_thresholds, raws, side="right")
     values += 1  # in place: large draws hold one s-entry array fewer at peak
-    return SampleSet(values.tolist(), seed=seed)
+    return SampleSet(values, seed=seed)
 
 
 def empirical(samples: SampleSet, n: int) -> Distribution:

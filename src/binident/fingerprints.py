@@ -19,7 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from . import budgets
 from .distributions import Distribution, SampleSet, to_integers
@@ -85,29 +87,70 @@ def multinomial(s: int, parts: tuple[int, ...]) -> int:
     return coeff
 
 
-def raw_moment_sums(
-    values: Sequence[int], comps: Iterable[tuple[int, ...]]
-) -> tuple[int, ...]:
-    """Integer fingerprint sums of integer masses, one per composition.
+# Row chunks of the fingerprint DP hold at most this many table entries
+# (256 KB in int64), so the per-column updates run in cache and keying every
+# balanced string at once adds no table memory to speak of.
+_CHUNK_ENTRIES = 1 << 15
 
-    For counts (c_1, ..., c_t) the sum runs over i_1 < ... < i_t of
-    prod_j values[i_j]^c_j, by DP over (position, composition prefix).  With
-    values = pmf * scale it is the fingerprint probability times
-    scale^s / multinomial(s; counts).  This is the package's one fingerprint
-    DP; zero entries contribute nothing and are dropped once up front.
+
+def raw_moment_sums(rows: np.ndarray, comps: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Integer fingerprint sums of integer mass rows, one row of sums per row.
+
+    For counts (c_1, ..., c_t) the sum over a row is, over i_1 < ... < i_t,
+    prod_j row[i_j]^c_j; with row = pmf * scale it is the fingerprint
+    probability times scale^s / multinomial(s; counts).  The result has
+    shape (len(rows), len(comps)).  This is the package's one fingerprint
+    DP: a column sweep over a trie of composition prefixes, vectorized over
+    rows.  Every sum is at most C(n, t) * max^s <= 2^(n + s * bitlen(max))
+    for n columns, so the DP runs in int64 while that exponent is below 63
+    and on Python ints (object dtype) otherwise; pass big values as an
+    object array, since numpy turns large Python ints into floats.
     """
-    nonzero = [a for a in values if a]
-    sums = []
+    comps = list(comps)
+    n_rows, n = rows.shape
+    top = int(rows.max()) if rows.size else 0
+    s = max(map(sum, comps), default=0)
+    dtype = np.int64 if n + s * top.bit_length() < 63 else object
+    # Node 0 is the empty prefix; every other node extends its parent's
+    # prefix by one part.
+    node = {(): 0}
+    parent, part = [], []
     for counts in comps:
-        t = len(counts)
-        g = [0] * (t + 1)
+        for j in range(1, len(counts) + 1):
+            if counts[:j] not in node:
+                node[counts[:j]] = len(node)
+                parent.append(node[counts[: j - 1]])
+                part.append(counts[j - 1])
+    leaves = [node[counts] for counts in comps]
+    parent = np.array(parent, dtype=np.intp)
+    power_index = np.array(part, dtype=np.intp) - 1
+    top_part = max(part, default=0)
+    out = np.empty((n_rows, len(comps)), dtype)
+    step = max(1, _CHUNK_ENTRIES // len(node))
+    for lo in range(0, n_rows, step):
+        chunk = rows[lo : lo + step].astype(dtype)
+        # g[v] = sum over i_1 < ... < i_j among the columns swept so far of
+        # prod row[i]^part along the prefix of node v.
+        g = np.zeros((len(node), len(chunk)), dtype)
         g[0] = 1
-        for a in nonzero:
-            for j in range(t, 0, -1):
-                if g[j - 1]:
-                    g[j] += g[j - 1] * a ** counts[j - 1]
-        sums.append(g[t])
-    return tuple(sums)
+        for col in chunk.T:
+            powers = [col]
+            for _ in range(top_part - 1):
+                powers.append(powers[-1] * col)
+            # The right side reads g before this column's update, so each
+            # column is used at most once per index tuple.
+            g[1:] += g[parent] * np.stack(powers)[power_index]
+        out[lo : lo + step] = g[leaves].T
+    return out
+
+
+def _scaled_row(d: Distribution) -> tuple[np.ndarray, int]:
+    """The nonzero masses of d times their common scale, as one object row.
+
+    Zero masses contribute nothing to any fingerprint sum with t >= 1.
+    """
+    (values,), scale = to_integers(d.pmf)
+    return np.array([[a for a in values if a]], dtype=object), scale
 
 
 def _as_fingerprint(f: OrderedFingerprint | Iterable[int]) -> OrderedFingerprint:
@@ -118,8 +161,8 @@ def moment(d: Distribution, fingerprint: OrderedFingerprint | Iterable[int]) -> 
     """Exact probability that s draws from d show this ordered fingerprint."""
     f = _as_fingerprint(fingerprint)
     budgets.check("moment_terms", (d.n + 1) * f.t, "DP cells")
-    (values,), scale = to_integers(d.pmf)
-    (raw,) = raw_moment_sums(values, [f.counts])
+    row, scale = _scaled_row(d)
+    (raw,) = raw_moment_sums(row, [f.counts])[0].tolist()
     return Fraction(multinomial(f.s, f.counts) * raw, scale**f.s)
 
 
@@ -171,11 +214,11 @@ def moment_vector(d: Distribution, s: int) -> MomentVector:
         raise ValueError("s must be at least 1")
     check_moment_budget(d.n, s)
     comps = list(compositions(s))
-    (values,), scale = to_integers(d.pmf)
+    row, scale = _scaled_row(d)
     denom = scale**s
     entries = tuple(
         (c, Fraction(multinomial(s, c) * raw, denom))
-        for c, raw in zip(comps, raw_moment_sums(values, comps))
+        for c, raw in zip(comps, raw_moment_sums(row, comps)[0].tolist())
     )
     return MomentVector(s, entries)
 

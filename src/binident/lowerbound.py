@@ -16,11 +16,12 @@ The ingredients, all exact:
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import budgets
 from .distributions import Distribution, Rational, as_fraction, normalize_seed, sample
@@ -28,6 +29,7 @@ from .binning import coarsening_distance
 from .fingerprints import check_moment_budget, compositions, moment_vector, raw_moment_sums
 
 _ALPHABET = {"2", "3"}
+_SYMBOLS = str.maketrans("01", "23")
 DEFAULT_RHO = Fraction(99, 100)  # rho in the ceil(rho * b)-partial shift test
 
 
@@ -64,18 +66,30 @@ class MassString:
         return MassString(self.symbols[o:] + self.symbols[:o])
 
 
-def balanced_strings(b: int) -> Iterator[MassString]:
-    """All C(b, b/2) balanced strings of length b, in lexicographic order."""
+def _balanced_codes(b: int) -> np.ndarray:
+    """All C(b, b/2) balanced strings of length b as increasing b-bit codes.
+
+    Bit 1 stands for "3" and the first symbol is the top bit, so increasing
+    codes list the strings in lexicographic order ("2" < "3").
+    """
     if b < 2 or b % 2 != 0:
         raise ValueError("b must be a positive even integer")
     budgets.check("hard_pair_strings", math.comb(b, b // 2), "strings")
-    # Increasing position tuples of the 2s give the strings in lexicographic
-    # order, because "2" < "3".
-    for twos in combinations(range(b), b // 2):
-        symbols = ["3"] * b
-        for i in twos:
-            symbols[i] = "2"
-        yield MassString("".join(symbols))
+    codes = np.arange(1 << b, dtype=np.int64)
+    ones = np.zeros(len(codes), dtype=np.uint8)
+    for i in range(b):
+        ones += (codes >> i & 1).astype(np.uint8)
+    return codes[ones == b // 2]
+
+
+def _decode(code: int, b: int) -> MassString:
+    return MassString(format(code, f"0{b}b").translate(_SYMBOLS))
+
+
+def balanced_strings(b: int) -> Iterator[MassString]:
+    """All C(b, b/2) balanced strings of length b, in lexicographic order."""
+    for code in _balanced_codes(b).tolist():
+        yield _decode(code, b)
 
 
 def _lcs_with_pairs(a: str, c: str) -> list[tuple[int, int]]:
@@ -163,15 +177,31 @@ def find_hard_pair(
     # HardInstancePair.build checks the same table for any pair found.
     check_moment_budget(b, m)
     comps = list(compositions(m))
+    codes = _balanced_codes(b)
+    digits = np.empty((len(codes), b), dtype=np.int8)
+    for i in range(b):
+        digits[:, i] = 2 + (codes >> (b - 1 - i) & 1)
     # Equal keys mean equal moment vectors: the multinomial factor and the
     # 2/(5b) scaling are the same for every string.
-    keyed = [(ms, raw_moment_sums(ms.digits(), comps)) for ms in balanced_strings(b)]
-    buckets = defaultdict(list)
-    for ms, key in keyed:
-        buckets[key].append(ms)
-    for x, key in keyed:
-        for y in buckets[key]:
-            if y.symbols > x.symbols and not is_partial_cyclic_shift(x, y, r).is_shift:
+    keys = raw_moment_sums(digits, comps)
+    if keys.dtype == object:
+        rows = [tuple(row) for row in keys.tolist()]
+    else:
+        rows = keys.view(np.dtype((np.void, keys.itemsize * len(comps)))).ravel().tolist()
+    buckets = defaultdict(deque)
+    for i, row in enumerate(rows):
+        buckets[row].append(i)
+    # Codes are visited in increasing order, so each string is at the front
+    # of its bucket when reached and the rest of the bucket lies after it.
+    for i, row in enumerate(rows):
+        later = buckets[row]
+        later.popleft()
+        if not later:
+            continue
+        x = _decode(int(codes[i]), b)
+        for j in later:
+            y = _decode(int(codes[j]), b)
+            if not is_partial_cyclic_shift(x, y, r).is_shift:
                 return x, y
     return None
 

@@ -257,3 +257,11 @@ class TestSampleSet:
 
     def test_size(self):
         assert SampleSet([5, 5, 2]).s == 3
+
+    def test_array_input_stored_as_python_ints(self):
+        got = SampleSet(np.array([3, 1, 2]))
+        assert got.values == (3, 1, 2)
+        assert all(type(v) is int for v in got.values)
+        assert SampleSet(np.array([], dtype=np.int64)).s == 0
+        with pytest.raises(ValueError, match="sample value 0 outside"):
+            SampleSet(np.array([2, 0, 1]))

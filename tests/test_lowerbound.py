@@ -164,6 +164,50 @@ class TestFindHardPair:
             find_hard_pair(30, 2, 1)
 
 
+# The lexicographically first moment-matched non-shift pair at rho = 1, on
+# every (m, b) cell the benchmark lab and the tests search, plus (3, 20).
+GOLDEN_PAIRS = {
+    (1, 4): ("2233", "2323"),
+    (1, 6): ("222333", "223233"),
+    (2, 6): ("222333", "223233"),
+    (3, 6): ("223332", "232323"),
+    (3, 8): ("22233233", "22322333"),
+    (1, 10): ("2222233333", "2222323333"),
+    (1, 12): ("222222333333", "222223233333"),
+    (1, 14): ("22222223333333", "22222232333333"),
+    (1, 16): ("2222222233333333", "2222222323333333"),
+    (2, 10): ("2222233333", "2222323333"),
+    (2, 12): ("222222333333", "222223233333"),
+    (2, 14): ("22222223333333", "22222232333333"),
+    (2, 16): ("2222222233333333", "2222222323333333"),
+    (3, 10): ("2222332333", "2223223333"),
+    (3, 12): ("222223323333", "222232233333"),
+    (3, 14): ("22222233233333", "22222322333333"),
+    (3, 16): ("2222222332333333", "2222223223333333"),
+    (3, 18): ("222222223323333333", "222222232233333333"),
+    (3, 20): ("22222222233233333333", "22222222322333333333"),
+    (4, 10): ("2223332233", "2232233323"),
+    (4, 12): ("222233322333", "222322333233"),
+    (4, 14): ("22222333223333", "22223223332333"),
+    (4, 16): ("2222223332233333", "2222232233323333"),
+    (5, 14): ("22233322323332", "22322332333223"),
+}
+
+
+class TestGoldenPairs:
+    @pytest.mark.parametrize("cell", sorted(GOLDEN_PAIRS), ids=lambda c: f"m{c[0]}_b{c[1]}")
+    def test_first_pair_pinned(self, cell):
+        x, y = find_hard_pair(*cell, 1)
+        assert (x.symbols, y.symbols) == GOLDEN_PAIRS[cell]
+
+    def test_no_pair_at_b_2(self):
+        assert find_hard_pair(11, 2, 1) is None
+
+    def test_string_budget_refuses_b_22(self):
+        with pytest.raises(BudgetExceededError, match="strings"):
+            find_hard_pair(1, 22, 1)
+
+
 class TestBlockConstruct:
     def test_single_block_is_identity(self):
         p = MassString("2233").to_distribution()

@@ -1,7 +1,8 @@
-"""Property tests: the binning DP against its enumeration oracle."""
+"""Property tests: the fast exact kernels against their enumeration oracles."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,10 +10,15 @@ from hypothesis import strategies as st
 from binident import (
     Distribution,
     InfeasibleBinningError,
+    ak_distance,
+    brute_force_ak_distance,
     brute_force_min_discrepancy,
+    compositions,
     min_binned_discrepancy,
+    moment_exhaustive,
     partition_discrepancy,
 )
+from binident.fingerprints import multinomial, raw_moment_sums
 
 # Fixed example sequences keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -69,3 +75,57 @@ def test_witness_reproduces_delta_at_scale(p, q):
             assert not any(
                 q.pmf[j] > 0 and result.witness.is_empty(j) for j in range(q.n)
             )
+
+
+# The oracle walks C(n + ell - 1, n) partitions: 6435 at n = ell = 8.
+@settings(PROPERTY, max_examples=120)
+@given(data=st.data())
+def test_ak_distance_matches_enumeration(data):
+    n = data.draw(st.integers(1, 8))
+    entry = st.just(0) | st.integers(1, 6)
+    d1, d2 = (
+        data.draw(st.lists(entry, min_size=n, max_size=n).filter(any).map(Distribution.from_weights))
+        for _ in range(2)
+    )
+    ell = data.draw(st.integers(1, n))
+    assert ak_distance(d1, d2, ell) == brute_force_ak_distance(d1, d2, ell)
+
+
+def mass_blocks() -> st.SearchStrategy[list[list[int]]]:
+    """Several rows of one length: small digits, or scaled values past 2^40."""
+    return st.tuples(
+        st.integers(1, 6), st.integers(1, 4), st.sampled_from([9, 1 << 44])
+    ).flatmap(
+        lambda shape: st.lists(
+            st.lists(st.just(0) | st.integers(1, shape[2]), min_size=shape[0], max_size=shape[0]),
+            min_size=shape[1],
+            max_size=shape[1],
+        )
+    )
+
+
+def oracle_sum(row: list[int], counts: tuple[int, ...]) -> int:
+    """The raw fingerprint sum from `moment_exhaustive` on the row's weights."""
+    if not any(row):
+        return int(not counts)
+    total = sum(row)
+    exact = moment_exhaustive(Distribution.from_weights(row), counts)
+    raw = exact * total ** sum(counts) / multinomial(sum(counts), counts)
+    assert raw.denominator == 1
+    return raw.numerator
+
+
+@settings(PROPERTY, max_examples=150)
+@given(rows=mass_blocks(), s=st.integers(1, 5))
+@example(rows=[[4095, 4095], [0, 4095]], s=5)  # 2 + 5 * 12 = 62: int64
+@example(rows=[[4095, 4095, 4095], [4095, 0, 1]], s=5)  # 3 + 5 * 12 = 63: object
+def test_raw_moment_sums_match_exhaustive(rows, s):
+    comps = list(compositions(s))
+    block = np.array(rows, dtype=object)
+    got = raw_moment_sums(block, comps)
+    n = len(rows[0])
+    top = max(max(row) for row in rows)
+    assert got.shape == (len(rows), len(comps))
+    assert (got.dtype == object) == (n + s * top.bit_length() >= 63)
+    for row, sums in zip(rows, got.tolist()):
+        assert sums == [oracle_sum(row, c) for c in comps]
