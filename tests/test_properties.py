@@ -92,7 +92,7 @@ def test_ak_distance_matches_enumeration(data):
 
 
 def mass_blocks() -> st.SearchStrategy[list[list[int]]]:
-    """Several rows of one length: small digits, or scaled values past 2^40."""
+    """Several rows of one length: digits up to 9, or scaled values up to 2^44."""
     return st.tuples(
         st.integers(1, 6), st.integers(1, 4), st.sampled_from([9, 1 << 44])
     ).flatmap(
@@ -116,12 +116,12 @@ def oracle_sum(row: list[int], counts: tuple[int, ...]) -> int:
 
 
 @settings(PROPERTY, max_examples=150)
-@given(rows=mass_blocks(), s=st.integers(1, 5))
-@example(rows=[[4095, 4095], [0, 4095]], s=5)  # 2 + 5 * 12 = 62: int64
-@example(rows=[[4095, 4095, 4095], [4095, 0, 1]], s=5)  # 3 + 5 * 12 = 63: object
-def test_raw_moment_sums_match_exhaustive(rows, s):
+@given(rows=mass_blocks(), s=st.integers(1, 5), given_as=st.sampled_from([object, np.int64]))
+@example(rows=[[4095, 4095], [0, 4095]], s=5, given_as=object)  # 2 + 5 * 12 = 62: int64
+@example(rows=[[4095, 4095, 4095], [4095, 0, 1]], s=5, given_as=np.int64)  # 63: object
+def test_raw_moment_sums_match_exhaustive(rows, s, given_as):
     comps = list(compositions(s))
-    block = np.array(rows, dtype=object)
+    block = np.array(rows, dtype=given_as)
     got = raw_moment_sums(block, comps)
     n = len(rows[0])
     top = max(max(row) for row in rows)
