@@ -12,10 +12,9 @@ its typical error lands near 1.6x the target.  C = 64 is the smallest
 power of two that reliably clears the target.
 """
 
-import math
 from fractions import Fraction
 
-from binident import Distribution, ak_distance, empirical, sample
+from binident import Distribution, calibration_curve
 
 n, k = 200, 10
 eps = Fraction(1, 5)
@@ -26,17 +25,11 @@ p = Distribution.uniform(n)
 print(f"uniform source over [{n}], k = {k}, eps = {eps}, target error {target}")
 print(f"{'C':>4} {'samples':>8} {'within target':>14} {'mean error':>11}")
 for constant in (8, 16, 32, 64, 128):
-    s = math.ceil(constant * k / eps**2)
-    errors = []
-    hits = 0
-    for seed in range(trials):
-        p_hat = empirical(sample(p, s, seed), n)
-        err = ak_distance(p_hat, p, k)
-        errors.append(err)
-        if err <= target:
-            hits += 1
-    mean = sum(errors) / len(errors)
-    print(f"{constant:>4} {s:>8} {hits:>7}/{trials:<6} {float(mean):>11.4f}")
+    # Trial t draws ceil(C k / eps^2) samples with seed t.
+    rows = calibration_curve(p, k, eps, trials, 0, constant)
+    hits = sum(r["passed"] for r in rows)
+    mean = sum(r["ak_error"] for r in rows) / trials
+    print(f"{constant:>4} {rows[0]['samples']:>8} {hits:>7}/{trials:<6} {float(mean):>11.4f}")
 
 print()
 print("The end-to-end tester is far less sensitive than the raw learning")

@@ -58,6 +58,7 @@ from .tester import (
     TestReport,
     accept_rate,
     bin_identity_test,
+    calibration_curve,
     error_curve,
 )
 from .harness import (
@@ -116,6 +117,7 @@ __all__ = [
     "TestReport",
     "accept_rate",
     "bin_identity_test",
+    "calibration_curve",
     "error_curve",
     "ExperimentResult",
     "ExperimentSpec",

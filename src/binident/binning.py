@@ -23,7 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from typing import Iterator
 
 from . import budgets
@@ -134,7 +134,8 @@ def min_binned_discrepancy(
                 f"{positive} positive-mass bins cannot each receive a nonempty "
                 f"interval of a {n}-element domain"
             )
-    (pre, ref), scale = to_integers(p_hat.prefix, q.pmf)
+    (weights, ref), scale = to_integers(p_hat, q)
+    pre = list(accumulate(weights, initial=0))
 
     # suffix[j][i]: least cost of covering elements i+1..n with bins j+1..k.
     suffix: list[list[int | None]] = [[None] * (n + 1) for _ in range(k + 1)]

@@ -24,6 +24,7 @@ DEFAULT_LIMITS: dict[str, int] = {
     "overflow_transitions": 2_000_000,   # occupancy-DP transitions
     "sample_draws": 10_000_000,          # draws in one sample() call
     "binning_cells": 4_000_000,          # binning DP cells, (n + 1) * k
+    "scale_bits": 2048,                  # bits of a kernel's common scale
 }
 
 

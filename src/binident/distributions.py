@@ -10,10 +10,11 @@ runs reproducible at a documented per-draw bias below 2**-63.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -44,7 +45,12 @@ def normalize_seed(seed: int) -> int:
 
 @dataclass(frozen=True)
 class Distribution:
-    """A probability distribution over [n], stored as exact masses."""
+    """A probability distribution over [n], stored as exact masses.
+
+    Besides the masses every distribution holds one integer form, the
+    weights pmf[i] * scale for a common scale with sum(weights) == scale;
+    the exact kernels read it through `to_integers`.
+    """
 
     pmf: tuple[Fraction, ...]
 
@@ -52,13 +58,27 @@ class Distribution:
         masses = tuple(as_fraction(v) for v in pmf)
         if not masses:
             raise ValueError("domain size must be at least 1")
-        for i, v in enumerate(masses):
-            if v < 0:
-                raise ValueError(f"negative mass {v} at element {i + 1}")
-        total = sum(masses)
-        if total != 1:
+        scale = math.lcm(*(v.denominator for v in masses))
+        weights = tuple(v.numerator * (scale // v.denominator) for v in masses)
+        for i, w in enumerate(weights):
+            if w < 0:
+                raise ValueError(f"negative mass {masses[i]} at element {i + 1}")
+        total = sum(weights)
+        if total != scale:
+            total = Fraction(total, scale)
             raise ValueError(f"masses sum to {total}, not 1 (deficit {1 - total})")
         object.__setattr__(self, "pmf", masses)
+        object.__setattr__(self, "_integer", (weights, scale))
+
+    @classmethod
+    def _trusted(cls, weights: tuple[int, ...], scale: int) -> "Distribution":
+        """The distribution weights[i] / scale, for weights known to be
+        nonnegative with sum(weights) == scale; the scale need not be the
+        least common denominator."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "pmf", tuple(Fraction(w, scale) for w in weights))
+        object.__setattr__(d, "_integer", (weights, scale))
+        return d
 
     @property
     def n(self) -> int:
@@ -67,12 +87,8 @@ class Distribution:
     @cached_property
     def prefix(self) -> tuple[Fraction, ...]:
         """Cumulative masses: prefix[0] = 0, prefix[n] = 1."""
-        acc = Fraction(0)
-        out = [acc]
-        for v in self.pmf:
-            acc += v
-            out.append(acc)
-        return tuple(out)
+        weights, scale = self._integer
+        return tuple(Fraction(c, scale) for c in accumulate(weights, initial=0))
 
     @cached_property
     def _cdf_thresholds(self) -> np.ndarray:
@@ -81,9 +97,10 @@ class Distribution:
         # unreachable (their threshold repeats the previous one).  Thresholds
         # of 2**64 or more form a suffix that no 64-bit draw reaches; they are
         # dropped so the rest fit in uint64.
+        weights, scale = self._integer
         out = []
-        for p in self.prefix[1:]:
-            t = -((-p.numerator * _SCALE) // p.denominator)
+        for c in accumulate(weights):
+            t = -((-c << RESOLUTION_BITS) // scale)
             if t >= _SCALE:
                 break
             out.append(t)
@@ -122,29 +139,67 @@ class Distribution:
         return f"Distribution([{body}])"
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Values drawn from a distribution over [n], in draw order."""
+def _as_draw(value) -> int:
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"sample value {value} is not an integer")
 
-    values: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Values drawn from a distribution over [n], in draw order.
+
+    The draws are held as a read-only int64 array; `values` is the same
+    sequence as a tuple of Python ints, built on first use.  Equality and
+    hashing go by (values, seed).
+    """
+
+    draws: np.ndarray
     seed: int | None = None
 
     def __init__(self, values: Iterable[int] | np.ndarray, seed: int | None = None):
         if isinstance(values, np.ndarray):
-            # One vectorized check; tolist() already yields Python ints.
-            low = [values.min()] if values.size else []
-            stored = tuple(values.tolist())
+            if values.size and values.dtype.kind not in "iu":
+                raise ValueError(f"sample value {values.flat[0]} is not an integer")
+            draws = values.astype(np.int64)
         else:
-            low = stored = tuple(int(v) for v in values)
-        for v in low:
-            if v < 1:
-                raise ValueError(f"sample value {v} outside [1, n]")
-        object.__setattr__(self, "values", stored)
+            try:
+                draws = np.array([_as_draw(v) for v in values], dtype=np.int64)
+            except OverflowError:
+                raise ValueError("sample values must lie below 2^63") from None
+        if draws.size and (low := draws.min()) < 1:
+            raise ValueError(f"sample value {low} outside [1, n]")
+        draws.flags.writeable = False
+        object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "seed", seed)
+
+    @classmethod
+    def _trusted(cls, draws: np.ndarray, seed: int | None) -> "SampleSet":
+        """A sample set that takes over an int64 array of values >= 1."""
+        out = object.__new__(cls)
+        draws.flags.writeable = False
+        object.__setattr__(out, "draws", draws)
+        object.__setattr__(out, "seed", seed)
+        return out
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        return tuple(self.draws.tolist())
 
     @property
     def s(self) -> int:
-        return len(self.values)
+        return len(self.draws)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.values, self.seed) == (other.values, other.seed)
+
+    def __hash__(self):
+        return hash((self.values, self.seed))
 
 
 def sample(d: Distribution, s: int, seed: int) -> SampleSet:
@@ -164,19 +219,20 @@ def sample(d: Distribution, s: int, seed: int) -> SampleSet:
     raws = np.random.Philox(key=normalize_seed(seed)).random_raw(s)
     values = np.searchsorted(d._cdf_thresholds, raws, side="right")
     values += 1  # in place: large draws hold one s-entry array fewer at peak
-    return SampleSet(values, seed=seed)
+    return SampleSet._trusted(values, seed)
 
 
 def empirical(samples: SampleSet, n: int) -> Distribution:
     """The empirical distribution of the samples over [n]."""
-    if samples.s == 0:
+    s = samples.s
+    if s == 0:
         raise ValueError("cannot build an empirical distribution from no samples")
-    counts = Counter(samples.values)
-    top = max(counts)
+    top = int(samples.draws.max())
     if top > n:
         raise ValueError(f"sample value {top} exceeds domain size {n}")
-    s = samples.s
-    return Distribution([Fraction(counts.get(i, 0), s) for i in range(1, n + 1)])
+    counts = np.bincount(samples.draws, minlength=n + 1)[1:]
+    # Counts over s draws are a valid integer form with scale s as they stand.
+    return Distribution._trusted(tuple(counts.tolist()), s)
 
 
 def _require_same_domain(d1: Distribution, d2: Distribution) -> None:
@@ -190,15 +246,22 @@ def total_variation(d1: Distribution, d2: Distribution) -> Fraction:
     return sum(abs(a - b) for a, b in zip(d1.pmf, d2.pmf)) / 2
 
 
-def to_integers(*vectors: Sequence[Fraction]) -> tuple[list[list[int]], int]:
-    """Scale rational vectors to integers over one common denominator.
+def to_integers(*dists: Distribution) -> tuple[list[Sequence[int]], int]:
+    """Integer masses of several distributions over one common scale.
 
-    Returns (scaled, scale) with scaled[v][i] = vectors[v][i] * scale, where
-    scale is the LCM of every denominator.  This is the package's single
-    place that turns rationals into integers for the exact kernels.
+    Returns (scaled, scale) with scaled[v][i] = dists[v].pmf[i] * scale,
+    where scale is the LCM of the distributions' own integer scales.  This is
+    the package's single place that hands integers to the exact kernels.
+    Scales longer than the `scale_bits` budget are refused before any
+    weight is scaled, since every kernel step then does big-integer work.
     """
-    scale = math.lcm(*(x.denominator for vec in vectors for x in vec))
-    scaled = [[x.numerator * (scale // x.denominator) for x in vec] for vec in vectors]
+    scale = math.lcm(*(d._integer[1] for d in dists))
+    budgets.check("scale_bits", scale.bit_length(), "bits of common scale")
+    scaled = []
+    for d in dists:
+        weights, own = d._integer
+        factor = scale // own
+        scaled.append(weights if factor == 1 else [w * factor for w in weights])
     return scaled, scale
 
 
@@ -214,8 +277,8 @@ def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
     n = d1.n
     if not 1 <= ell <= n:
         raise ValueError(f"interval count {ell} outside [1, {n}]")
-    (pre1, pre2), scale = to_integers(d1.prefix, d2.prefix)
-    diffs = [a - b for a, b in zip(pre1, pre2)]
+    (w1, w2), scale = to_integers(d1, d2)
+    diffs = list(accumulate((a - b for a, b in zip(w1, w2)), initial=0))
     # best[i] = max value of a j-interval partition of the first i elements;
     # |x| = max(x, -x) splits the transition into two running maxima.
     best: list[int | None] = [None] * (n + 1)

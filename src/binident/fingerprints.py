@@ -149,7 +149,7 @@ def _scaled_row(d: Distribution) -> tuple[np.ndarray, int]:
 
     Zero masses contribute nothing to any fingerprint sum with t >= 1.
     """
-    (values,), scale = to_integers(d.pmf)
+    (values,), scale = to_integers(d)
     return np.array([[a for a in values if a]], dtype=object), scale
 
 

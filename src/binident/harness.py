@@ -17,14 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .binning import IntervalPartition
-from .distributions import (
-    Distribution,
-    ak_distance,
-    as_fraction,
-    empirical,
-    normalize_seed,
-    sample,
-)
+from .distributions import Distribution, as_fraction, normalize_seed
 from .lowerbound import (
     DEFAULT_RHO,
     HardInstancePair,
@@ -34,7 +27,7 @@ from .lowerbound import (
     sample_size_curve,
     shift_threshold,
 )
-from .tester import DEFAULT_LEARN_CONSTANT, TestConfig, accept_rate, error_curve
+from .tester import DEFAULT_LEARN_CONSTANT, accept_rate, calibration_curve, error_curve
 
 
 def _entry_to_fraction(entry: Any, exact: bool, position: int) -> Fraction:
@@ -212,35 +205,27 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
 def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     k = int(params["k"])
-    cfg = TestConfig(params["epsilon"], params.get("constant", DEFAULT_LEARN_CONSTANT))
+    epsilon = as_fraction(params["epsilon"])
+    constant = as_fraction(params.get("constant", DEFAULT_LEARN_CONSTANT))
     if "p" in params or "p_file" in params:
         p = _resolve_distribution(params, "p")
     else:
         p = Distribution.uniform(int(params["n"]))
-    n = p.n
-    target = cfg.accept_threshold
-    samples = cfg.sample_budget(k)
-    base = normalize_seed(spec.master_seed)
+    curve = calibration_curve(p, k, epsilon, spec.trials, spec.master_seed, constant)
     columns = (
         "kind", "n", "k", "epsilon", "constant", "master_seed",
         "trial", "seed", "samples", "ak_error", "target", "passed",
     )
-    rows = []
-    passed = 0
-    for t in range(spec.trials):
-        drawn = sample(p, samples, base + t)
-        err = ak_distance(empirical(drawn, n), p, k)
-        ok = err <= target
-        if ok:
-            passed += 1
-        rows.append(
-            (
-                spec.kind, n, k, cfg.epsilon, cfg.learn_constant, spec.master_seed,
-                t, base + t, samples, err, target, ok,
-            )
+    rows = tuple(
+        (
+            spec.kind, p.n, k, epsilon, constant, spec.master_seed,
+            r["trial"], r["seed"], r["samples"], r["ak_error"], r["target"], r["passed"],
         )
+        for r in curve
+    )
+    passed = sum(r["passed"] for r in curve)
     summary = {"pass_fraction": str(Fraction(passed, spec.trials))}
-    return ExperimentResult(columns, tuple(rows), summary)
+    return ExperimentResult(columns, rows, summary)
 
 
 def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:

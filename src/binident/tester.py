@@ -24,6 +24,7 @@ from .distributions import (
     Distribution,
     Rational,
     SampleSet,
+    ak_distance,
     as_fraction,
     empirical,
     normalize_seed,
@@ -174,6 +175,43 @@ def error_curve(
                     "verdict": report.verdict,
                 }
             )
+    return rows
+
+
+def calibration_curve(
+    p: Distribution,
+    k: int,
+    epsilon: Rational,
+    trials: int,
+    master_seed: int,
+    learn_constant: Rational = DEFAULT_LEARN_CONSTANT,
+) -> list[dict]:
+    """Interval-distance error of the tester's learning step, per seeded trial.
+
+    Trial t draws the tester's sample budget ceil(C * k / eps^2) from p with
+    seed master_seed + t and measures the A_k distance of the empirical
+    distribution from p against the accept threshold.  One row per trial
+    with keys trial, seed, samples, ak_error, target and passed.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    cfg = TestConfig(epsilon, learn_constant)
+    target = cfg.accept_threshold
+    samples = cfg.sample_budget(k)
+    base = normalize_seed(master_seed)
+    rows = []
+    for t in range(trials):
+        err = ak_distance(empirical(sample(p, samples, base + t), p.n), p, k)
+        rows.append(
+            {
+                "trial": t,
+                "seed": base + t,
+                "samples": samples,
+                "ak_error": err,
+                "target": target,
+                "passed": err <= target,
+            }
+        )
     return rows
 
 

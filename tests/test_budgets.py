@@ -2,15 +2,19 @@
 
 import pytest
 
+from fractions import Fraction
+
 from binident import (
     BudgetExceededError,
     Distribution,
     balanced_strings,
     enumerate_partitions,
+    min_binned_discrepancy,
     moment_vector,
     sample,
 )
 from binident.budgets import DEFAULT_LIMITS, limit
+from binident.distributions import to_integers
 
 
 class TestLimits:
@@ -52,3 +56,20 @@ class TestGuardedOperations:
         # 3 * 20001 * 2^19998 DP cells: over 6000 digits, past what str() formats.
         with pytest.raises(BudgetExceededError, match=r"over 2\^20013 DP cells"):
             moment_vector(Distribution.uniform(2), 20000)
+
+    def test_scale_bits_refused_before_scaling(self):
+        # 3^1400 has 2219 bits: past the default, which admits every
+        # float-derived pmf (denominators up to 2^1074).
+        tiny = Fraction(1, 3**1400)
+        wide = Distribution([tiny, 1 - tiny])
+        with pytest.raises(
+            BudgetExceededError,
+            match="scale_bits: 2219 bits of common scale exceeds budget 2048",
+        ):
+            to_integers(wide)
+        with pytest.raises(BudgetExceededError, match="scale_bits: 2219"):
+            min_binned_discrepancy(Distribution.uniform(3), wide, False)
+        floats = Distribution([Fraction(5e-324), 1 - Fraction(5e-324)])
+        (weights, _), scale = to_integers(floats, Distribution.uniform(3))
+        assert scale == 3 * 2**1074 and sum(weights) == scale
+

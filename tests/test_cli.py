@@ -67,6 +67,16 @@ class TestTestCommand:
         assert main([command, *argv]) == 2
         assert "binning_cells: 4001000 DP cells" in capsys.readouterr().err
 
+    def test_scale_budget_exit_two(self, tmp_path, capsys):
+        # A reference mass of 1/3^1400 (2219 bits) over the 128 draws' counts
+        # needs a 2226-bit common scale.
+        p, q = tmp_path / "p.json", tmp_path / "q.json"
+        store_distribution(Distribution.uniform(2), str(p))
+        q.write_text(json.dumps({"n": 2, "pmf": [f"1/{3**1400}", f"{3**1400 - 1}/{3**1400}"]}))
+        argv = ["test", "--p", str(p), "--q", str(q), "--n", "2", "--eps", "1/2"]
+        assert main(argv) == 2
+        assert "scale_bits: 2226 bits of common scale" in capsys.readouterr().err
+
     def test_explicit_sample_count(self, p20_file, q4_file, capsys):
         rc = main([
             "test", "--p", p20_file, "--q", q4_file,

@@ -265,3 +265,31 @@ class TestSampleSet:
         assert SampleSet(np.array([], dtype=np.int64)).s == 0
         with pytest.raises(ValueError, match="sample value 0 outside"):
             SampleSet(np.array([2, 0, 1]))
+
+    def test_non_integer_list_values_rejected(self):
+        with pytest.raises(ValueError, match="sample value 1.5 is not an integer"):
+            SampleSet([1.5, 2.9])
+        with pytest.raises(ValueError, match="sample value True is not an integer"):
+            SampleSet([2, True])
+        assert SampleSet([np.int64(2), 3]).values == (2, 3)
+
+    def test_non_integer_arrays_rejected(self):
+        with pytest.raises(ValueError, match="sample value 1.5 is not an integer"):
+            SampleSet(np.array([1.5, 2.0]))
+        with pytest.raises(ValueError, match="sample value True is not an integer"):
+            SampleSet(np.array([True, True]))
+
+    def test_draws_are_read_only_and_compare_by_values(self):
+        source = np.array([3, 1, 2])
+        got = SampleSet(source, seed=4)
+        source[0] = 9
+        assert got.values == (3, 1, 2)
+        with pytest.raises(ValueError):
+            got.draws[0] = 9
+        same = SampleSet([3, 1, 2], seed=4)
+        assert got == same and hash(got) == hash(same)
+        assert got != SampleSet([3, 1, 2], seed=5)
+        drawn = sample(Distribution.uniform(3), 20, 4)
+        assert not drawn.draws.flags.writeable
+        assert drawn == SampleSet(list(drawn.values), seed=4)
+

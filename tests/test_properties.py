@@ -1,6 +1,10 @@
 """Property tests: the fast exact kernels against their enumeration oracles."""
 
+import json
+import math
+from collections import Counter
 from fractions import Fraction
+from itertools import takewhile
 
 import numpy as np
 import pytest
@@ -10,15 +14,21 @@ from hypothesis import strategies as st
 from binident import (
     Distribution,
     InfeasibleBinningError,
+    IntervalPartition,
+    SampleSet,
     ak_distance,
     brute_force_ak_distance,
     brute_force_min_discrepancy,
     compositions,
+    empirical,
+    greedy_repair,
     min_binned_discrepancy,
     moment_exhaustive,
     partition_discrepancy,
+    total_variation,
 )
 from binident.fingerprints import multinomial, raw_moment_sums
+from binident.harness import distribution_from_json, distribution_to_json
 
 # Fixed example sequences keep the suite reproducible run to run.
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -129,3 +139,125 @@ def test_raw_moment_sums_match_exhaustive(rows, s, given_as):
     assert (got.dtype == object) == (n + s * top.bit_length() >= 63)
     for row, sums in zip(rows, got.tolist()):
         assert sums == [oracle_sum(row, c) for c in comps]
+
+
+def _with_remainder(parts: list[Fraction], at: int) -> list[Fraction]:
+    at %= len(parts) + 1
+    return [*parts[:at], 1 - sum(parts), *parts[at:]]
+
+
+def mass_lists(max_n: int) -> st.SearchStrategy[list[Fraction]]:
+    """Exact masses summing to one, up to max_n <= 16 of them.
+
+    Each mass but one is zero, a fraction with a denominator up to 2^80, or
+    the exact value of a float (denominators up to 2^1074); the remainder
+    1 - sum lands at a drawn position, so tiny masses can trail it.
+    """
+    part = (
+        st.just(Fraction(0))
+        | st.fractions(0, Fraction(1, 16), max_denominator=2**80)
+        | st.floats(0, 1 / 16).map(Fraction)
+    )
+    return st.tuples(st.lists(part, max_size=max_n - 1), st.integers(0, max_n)).map(
+        lambda drawn: _with_remainder(*drawn)
+    )
+
+
+def running_sums(masses) -> list[Fraction]:
+    out = [Fraction(0)]
+    for v in masses:
+        out.append(out[-1] + v)
+    return out
+
+
+@settings(PROPERTY, max_examples=300)
+@given(masses=mass_lists(12))
+@example(masses=[Fraction(1, 3), 0, Fraction(2, 3), 0, 0])
+@example(masses=[Fraction(2**70 - 1, 2**70), Fraction(1, 2**70)])
+@example(masses=[Fraction(1 - 2**-53), Fraction(2**-53)])
+def test_integer_form_matches_fraction_arithmetic(masses):
+    d = Distribution(masses)
+    weights, scale = d._integer
+    assert sum(weights) == scale
+    assert tuple(Fraction(w, scale) for w in weights) == d.pmf == tuple(masses)
+    assert list(d.prefix) == running_sums(masses)
+    ceilings = (math.ceil(c * 2**64) for c in running_sums(masses)[1:])
+    kept = list(takewhile(lambda t: t < 2**64, ceilings))
+    assert d._cdf_thresholds.tolist() == kept
+
+
+def draw_lists(max_n: int) -> st.SearchStrategy[tuple[int, list[int]]]:
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n), min_size=1, max_size=60))
+    )
+
+
+@settings(PROPERTY, max_examples=200)
+@given(drawn=draw_lists(12), as_array=st.booleans())
+def test_empirical_matches_counter_oracle(drawn, as_array):
+    n, draws = drawn
+    counts = Counter(draws)
+    want = Distribution([Fraction(counts[i], len(draws)) for i in range(1, n + 1)])
+    got = empirical(SampleSet(np.array(draws) if as_array else draws), n)
+    assert got == want and hash(got) == hash(want)
+    assert got.prefix == want.prefix
+    assert got._cdf_thresholds.tolist() == want._cdf_thresholds.tolist()
+    weights, scale = got._integer
+    assert scale == len(draws) and sum(weights) == scale
+
+
+@settings(PROPERTY, max_examples=200)
+@given(drawn=draw_lists(10), q=distributions(5), data=st.data())
+def test_kernels_ignore_the_empirical_scale(drawn, q, data):
+    # p_hat's integer form keeps scale s, not the least common denominator;
+    # every kernel result must equal the one on the re-validated masses.
+    n, draws = drawn
+    p_hat = empirical(SampleSet(draws), n)
+    copy = Distribution(p_hat.pmf)
+    for flag in (False, True):
+        try:
+            want = min_binned_discrepancy(copy, q, flag)
+        except InfeasibleBinningError:
+            with pytest.raises(InfeasibleBinningError):
+                min_binned_discrepancy(p_hat, q, flag)
+            continue
+        got = min_binned_discrepancy(p_hat, q, flag)
+        assert got.delta == want.delta
+        assert got.witness == want.witness
+    entry = st.just(0) | st.integers(1, 6)
+    other = data.draw(st.lists(entry, min_size=n, max_size=n).filter(any).map(Distribution.from_weights))
+    ell = data.draw(st.integers(1, n))
+    assert ak_distance(p_hat, other, ell) == ak_distance(copy, other, ell)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(p=distributions(8) | mass_lists(8).map(Distribution), q=distributions(4), data=st.data())
+def test_greedy_repair_tv_identity(p, q, data):
+    cuts = data.draw(st.lists(st.integers(0, p.n), min_size=q.n - 1, max_size=q.n - 1))
+    partition = IntervalPartition([0, *sorted(cuts), p.n])
+    masses = partition.masses(p)
+    try:
+        repaired = greedy_repair(p, partition, q)
+    except InfeasibleBinningError:
+        assert any(
+            m < qj and partition.is_empty(j) for j, (m, qj) in enumerate(zip(masses, q.pmf))
+        )
+        return
+    assert partition.masses(repaired) == q.pmf
+    gaps = sum(abs(m - qj) for m, qj in zip(masses, q.pmf))
+    assert total_variation(p, repaired) == gaps / 2
+
+
+@settings(PROPERTY, max_examples=200)
+@given(masses=mass_lists(12))
+@example(masses=[Fraction(1, 4), Fraction(0), Fraction(3, 4)])
+def test_distribution_json_round_trip(masses):
+    d = Distribution(masses)
+    document = json.loads(json.dumps(distribution_to_json(d)))
+    back = distribution_from_json(document, exact=True)
+    assert back == d and back.prefix == d.prefix
+    if all(Fraction(float(v)) == v for v in d.pmf):
+        # Float entries load as their exact binary values.
+        as_numbers = json.loads(json.dumps({"n": d.n, "pmf": [float(v) for v in d.pmf]}))
+        assert distribution_from_json(as_numbers) == d
+
