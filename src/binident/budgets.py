@@ -20,7 +20,7 @@ DEFAULT_LIMITS: dict[str, int] = {
     "moment_terms": 25_000,              # DP cells (covers s <= 6, n <= 64)
     "moment_literal_terms": 6_000_000,   # literal summation steps
     "hard_pair_strings": 184_756,        # balanced strings, C(b, b/2) at b = 20
-    "claim_domain": 200,                 # blown-up domain size b * k'
+    "blowup_elements": 100_000,          # blown-up domain size b * k'
     "overflow_transitions": 2_000_000,   # occupancy-DP transitions
     "sample_draws": 10_000_000,          # draws in one sample() call
     "binning_cells": 4_000_000,          # binning DP cells, (n + 1) * k

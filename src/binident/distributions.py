@@ -213,8 +213,6 @@ def sample(d: Distribution, s: int, seed: int) -> SampleSet:
     """
     if s < 0:
         raise ValueError("sample count must be nonnegative")
-    if s == 0:
-        return SampleSet((), seed=seed)
     budgets.check("sample_draws", s, "draws")
     raws = np.random.Philox(key=normalize_seed(seed)).random_raw(s)
     values = np.searchsorted(d._cdf_thresholds, raws, side="right")
@@ -270,13 +268,15 @@ def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
 
     Interpolates between twice the Kolmogorov distance (ell = 2) and twice
     the total variation (ell = n).  Computed exactly by a running-maximum DP over the
-    integer-scaled prefix differences in O(n * ell) transitions; the
-    enumeration oracle in `binning` cross-checks it at small sizes.
+    integer-scaled prefix differences in O(n * ell) transitions, bounded by
+    the `binning_cells` ceiling on its (n + 1) * ell table; the enumeration
+    oracle in `binning` cross-checks it at small sizes.
     """
     _require_same_domain(d1, d2)
     n = d1.n
     if not 1 <= ell <= n:
         raise ValueError(f"interval count {ell} outside [1, {n}]")
+    budgets.check("binning_cells", (n + 1) * ell, "DP cells")
     (w1, w2), scale = to_integers(d1, d2)
     diffs = list(accumulate((a - b for a, b in zip(w1, w2)), initial=0))
     # best[i] = max value of a j-interval partition of the first i elements;

@@ -15,7 +15,6 @@ cannot be told apart from ordered fingerprints alone.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -62,8 +61,8 @@ def fingerprint_of(samples: SampleSet) -> OrderedFingerprint:
     """Multiplicities of the distinct sample values, in value order."""
     if samples.s == 0:
         raise ValueError("cannot fingerprint an empty sample")
-    counts = Counter(samples.values)
-    return OrderedFingerprint(counts[v] for v in sorted(counts))
+    _, counts = np.unique(samples.draws, return_counts=True)
+    return OrderedFingerprint(counts.tolist())
 
 
 def compositions(s: int) -> Iterator[tuple[int, ...]]:
@@ -144,13 +143,16 @@ def raw_moment_sums(rows: np.ndarray, comps: Iterable[tuple[int, ...]]) -> np.nd
     return out
 
 
-def _scaled_row(d: Distribution) -> tuple[np.ndarray, int]:
-    """The nonzero masses of d times their common scale, as one object row.
-
-    Zero masses contribute nothing to any fingerprint sum with t >= 1.
-    """
+def _moments(d: Distribution, comps: list[tuple[int, ...]]) -> list[Fraction]:
+    """Exact probabilities that sum(c) draws from d show each composition c."""
     (values,), scale = to_integers(d)
-    return np.array([[a for a in values if a]], dtype=object), scale
+    # Zero masses contribute nothing to any fingerprint sum with t >= 1.
+    row = np.array([[a for a in values if a]], dtype=object)
+    raws = raw_moment_sums(row, comps)[0].tolist()
+    return [
+        Fraction(multinomial(sum(c), c) * raw, scale ** sum(c))
+        for c, raw in zip(comps, raws)
+    ]
 
 
 def _as_fingerprint(f: OrderedFingerprint | Iterable[int]) -> OrderedFingerprint:
@@ -161,9 +163,7 @@ def moment(d: Distribution, fingerprint: OrderedFingerprint | Iterable[int]) -> 
     """Exact probability that s draws from d show this ordered fingerprint."""
     f = _as_fingerprint(fingerprint)
     budgets.check("moment_terms", (d.n + 1) * f.t, "DP cells")
-    row, scale = _scaled_row(d)
-    (raw,) = raw_moment_sums(row, [f.counts])[0].tolist()
-    return Fraction(multinomial(f.s, f.counts) * raw, scale**f.s)
+    return _moments(d, [f.counts])[0]
 
 
 def moment_exhaustive(
@@ -214,13 +214,7 @@ def moment_vector(d: Distribution, s: int) -> MomentVector:
         raise ValueError("s must be at least 1")
     check_moment_budget(d.n, s)
     comps = list(compositions(s))
-    row, scale = _scaled_row(d)
-    denom = scale**s
-    entries = tuple(
-        (c, Fraction(multinomial(s, c) * raw, denom))
-        for c, raw in zip(comps, raw_moment_sums(row, comps)[0].tolist())
-    )
-    return MomentVector(s, entries)
+    return MomentVector(s, tuple(zip(comps, _moments(d, comps))))
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .binning import IntervalPartition
@@ -177,6 +178,22 @@ def _resolve_distribution(params: Mapping[str, Any], key: str) -> Distribution:
     raise ValueError(f'parameters need "{key}" (inline JSON) or "{file_key}" (path)')
 
 
+def _table(
+    spec: ExperimentSpec,
+    columns: tuple[str, ...],
+    lead: Mapping[str, Any],
+    rows,
+) -> tuple[tuple, ...]:
+    """CSV rows over `columns` (two or more), one per library row.
+
+    Each cell comes from the library row when it has that column, and
+    otherwise from the spec-level values: kind, master_seed and `lead`.
+    """
+    fixed = {"kind": spec.kind, "master_seed": spec.master_seed, **lead}
+    cells = itemgetter(*columns)
+    return tuple(cells({**fixed, **r}) for r in rows)
+
+
 def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     p = _resolve_distribution(params, "p")
@@ -188,14 +205,7 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
         "kind", "epsilon", "constant", "master_seed",
         "trial", "seed", "samples", "delta", "threshold", "verdict",
     )
-    rows = tuple(
-        (
-            spec.kind, r["epsilon"], constant, spec.master_seed,
-            r["trial"], r["seed"], r["samples"], r["delta"], r["threshold"],
-            r["verdict"],
-        )
-        for r in curve
-    )
+    rows = _table(spec, columns, {"constant": constant}, curve)
     summary = {
         "accept_rate": {str(eps): str(accept_rate(curve, eps)) for eps in epsilons}
     }
@@ -216,13 +226,8 @@ def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
         "kind", "n", "k", "epsilon", "constant", "master_seed",
         "trial", "seed", "samples", "ak_error", "target", "passed",
     )
-    rows = tuple(
-        (
-            spec.kind, p.n, k, epsilon, constant, spec.master_seed,
-            r["trial"], r["seed"], r["samples"], r["ak_error"], r["target"], r["passed"],
-        )
-        for r in curve
-    )
+    lead = {"n": p.n, "k": k, "epsilon": epsilon, "constant": constant}
+    rows = _table(spec, columns, lead, curve)
     passed = sum(r["passed"] for r in curve)
     summary = {"pass_fraction": str(Fraction(passed, spec.trials))}
     return ExperimentResult(columns, rows, summary)
@@ -246,14 +251,13 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
         "kind", "m", "b", "k_prime", "master_seed",
         "s", "trial", "seed", "overflow", "exact_probability",
     )
-    rows = tuple(
-        (
-            spec.kind, pair.m, pair.b, pair.k_prime, spec.master_seed,
-            r["s"], t, base + t, overflow, r["exact_probability"],
-        )
+    lead = {"m": pair.m, "b": pair.b, "k_prime": pair.k_prime}
+    trials = (
+        {**r, "trial": t, "seed": base + t, "overflow": overflow}
         for r in curve
         for t, overflow in enumerate(r["outcomes"])
     )
+    rows = _table(spec, columns, lead, trials)
     summary = {
         "overflow_fraction": {str(r["s"]): str(r["overflow_fraction"]) for r in curve},
         "exact_probability": {str(r["s"]): str(r["exact_probability"]) for r in curve},
@@ -268,15 +272,10 @@ def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:
     rho = as_fraction(params.get("rho", DEFAULT_RHO))
     found = find_hard_pair(m, b, rho)
     columns = ("kind", "m", "b", "rho", "shift_threshold", "found", "x", "y")
-    r = shift_threshold(rho, b)
-    if found is None:
-        rows = ((spec.kind, m, b, rho, r, False, "", ""),)
-        summary = {"found": False}
-    else:
-        x, y = found
-        rows = ((spec.kind, m, b, rho, r, True, x.symbols, y.symbols),)
-        summary = {"found": True, "x": x.symbols, "y": y.symbols}
-    return ExperimentResult(columns, tuple(rows), summary)
+    x, y = ("", "") if found is None else (v.symbols for v in found)
+    rows = ((spec.kind, m, b, rho, shift_threshold(rho, b), found is not None, x, y),)
+    summary = {"found": False} if found is None else {"found": True, "x": x, "y": y}
+    return ExperimentResult(columns, rows, summary)
 
 
 _RUNNERS = {

@@ -16,7 +16,7 @@ The ingredients, all exact:
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict, deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -74,12 +74,17 @@ def _balanced_codes(b: int) -> np.ndarray:
     """
     if b < 2 or b % 2 != 0:
         raise ValueError("b must be a positive even integer")
-    budgets.check("hard_pair_strings", math.comb(b, b // 2), "strings")
+    _check_string_budget(b)
     codes = np.arange(1 << b, dtype=np.int64)
     ones = np.zeros(len(codes), dtype=np.uint8)
     for i in range(b):
         ones += (codes >> i & 1).astype(np.uint8)
     return codes[ones == b // 2]
+
+
+def _check_string_budget(b: int) -> None:
+    """Guard work on balanced strings of length b by their count C(b, b/2)."""
+    budgets.check("hard_pair_strings", math.comb(b, b // 2), "strings")
 
 
 def _decode(code: int, b: int) -> MassString:
@@ -218,6 +223,7 @@ def block_construct(
         raise ValueError(f"base domain sizes differ: {p_base.n} vs {q_base.n}")
     if k_prime < 1:
         raise ValueError("k_prime must be at least 1")
+    budgets.check("blowup_elements", p_base.n * k_prime, "blown-up elements")
     p_big, q_big = (
         Distribution([v / k_prime for _ in range(k_prime) for v in d.pmf])
         for d in (p_base, q_base)
@@ -248,12 +254,15 @@ class HardInstancePair:
 
         Checks, exactly: equal fingerprint distributions at every s <= m,
         failure of the ceil(rho*b)-partial cyclic shift test, and the block
-        structure of the blow-up.
+        structure of the blow-up.  Strings longer than `find_hard_pair`
+        admits at the same budget are refused first, since the shift test
+        alone costs O(b^3).
         """
         if x.b != y.b:
             raise ValueError(f"lengths differ: {x.b} vs {y.b}")
         rho_f = as_fraction(rho)
         b = x.b
+        _check_string_budget(b)
         p_base = x.to_distribution()
         q_base = y.to_distribution()
         for s in range(1, m + 1):
@@ -282,9 +291,9 @@ def verify_distance_claim(pair: HardInstancePair) -> Fraction:
 
     Strictly positive whenever the bases differ: the blown-up masses take
     only the two values 4/(5bk') and 6/(5bk'), so no interval grouping can
-    reproduce a differing reference exactly.
+    reproduce a differing reference exactly.  The `binning_cells` guard of
+    the DP bounds the blown-up domain.
     """
-    budgets.check("claim_domain", pair.b * pair.k_prime, "domain elements")
     return coarsening_distance(pair.p_big, pair.q_big)
 
 
@@ -320,8 +329,8 @@ def block_overflow_probability(k_prime: int, s: int, m: int) -> Fraction:
 
 def block_overflow_trial(pair: HardInstancePair, s: int, seed: int) -> bool:
     """Whether s draws from the blown-up p put > m values into one block."""
-    occupancy = Counter((v - 1) // pair.b for v in sample(pair.p_big, s, seed).values)
-    return max(occupancy.values(), default=0) > pair.m
+    draws = sample(pair.p_big, s, seed).draws
+    return int(np.bincount((draws - 1) // pair.b).max(initial=0)) > pair.m
 
 
 def sample_size_curve(

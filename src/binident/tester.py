@@ -3,9 +3,9 @@
 The test draws s = ceil(C * k / eps^2) samples, forms the empirical
 distribution, minimizes the binned discrepancy against the reference with
 the nonemptiness rule on, and accepts when the minimum is at most
-eps * threshold_fraction (eps/4 by default).  When more reference bins
-carry positive mass than the domain has elements, no distribution admits
-the binning at all and the test rejects outright.
+eps * ACCEPT_FRACTION = eps/4.  When more reference bins carry positive mass
+than the domain has elements, no distribution admits the binning at all and
+the test rejects outright.
 """
 
 from __future__ import annotations
@@ -34,24 +34,23 @@ from .distributions import (
 ACCEPT = "accept"
 REJECT = "reject"
 DEFAULT_LEARN_CONSTANT = Fraction(16)  # C in s = ceil(C * k / eps^2)
+ACCEPT_FRACTION = Fraction(1, 4)  # accept when delta <= eps * ACCEPT_FRACTION
 
 
 @dataclass(frozen=True)
 class TestConfig:
-    """Distance parameter, sampling constant, accept threshold, seed."""
+    """Distance parameter, sampling constant and seed of one test run."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     epsilon: Fraction
     learn_constant: Fraction
-    accept_threshold_fraction: Fraction
     seed: int
 
     def __init__(
         self,
         epsilon: Rational,
         learn_constant: Rational = DEFAULT_LEARN_CONSTANT,
-        accept_threshold_fraction: Rational = Fraction(1, 4),
         seed: int = 0,
     ):
         eps = as_fraction(epsilon)
@@ -60,12 +59,8 @@ class TestConfig:
         c = as_fraction(learn_constant)
         if c <= 0:
             raise ValueError(f"learn constant must be positive, got {c}")
-        frac = as_fraction(accept_threshold_fraction)
-        if not 0 < frac < 1:
-            raise ValueError(f"threshold fraction must lie in (0, 1), got {frac}")
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "learn_constant", c)
-        object.__setattr__(self, "accept_threshold_fraction", frac)
         object.__setattr__(self, "seed", int(seed))
 
     def sample_budget(self, k: int) -> int:
@@ -74,7 +69,7 @@ class TestConfig:
 
     @property
     def accept_threshold(self) -> Fraction:
-        return self.epsilon * self.accept_threshold_fraction
+        return self.epsilon * ACCEPT_FRACTION
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Tests for the enumeration size guards and their environment override."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from fractions import Fraction
 
+import binident
 from binident import (
     BudgetExceededError,
     Distribution,
@@ -73,3 +77,22 @@ class TestGuardedOperations:
         (weights, _), scale = to_integers(floats, Distribution.uniform(3))
         assert scale == 3 * 2**1074 and sum(weights) == scale
 
+
+
+def test_every_ceiling_is_checked_by_name():
+    # A ceiling that no guard names is dead, and a misspelt guard name
+    # fails only when its guard runs.
+    checked = set()
+    for path in Path(binident.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(func, ast.Attribute)
+                and func.attr == "check"
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "budgets"
+            ):
+                name = node.args[0]
+                assert isinstance(name, ast.Constant), ast.unparse(node)
+                checked.add(name.value)
+    assert checked == set(DEFAULT_LIMITS)

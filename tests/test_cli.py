@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -55,15 +56,17 @@ class TestTestCommand:
         assert rc == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["test", "coarse-dist"])
+    @pytest.mark.parametrize("command", ["test", "coarse-dist", "akdist"])
     def test_binning_budget_exit_two(self, tmp_path, capsys, command):
-        # (4000 + 1) * 1000 binning DP cells: refused before the table is built.
+        # (4000 + 1) * 1000 DP cells: refused before the table is built.
         p, q = tmp_path / "p.json", tmp_path / "q.json"
         store_distribution(Distribution.uniform(4000), str(p))
         store_distribution(Distribution.uniform(1000), str(q))
         argv = ["--p", str(p), "--q", str(q)]
         if command == "test":
             argv += ["--n", "4000", "--eps", "1/2", "--samples", "10"]
+        if command == "akdist":
+            argv = ["--d1", str(p), "--d2", str(p), "--ell", "1000"]
         assert main([command, *argv]) == 2
         assert "binning_cells: 4001000 DP cells" in capsys.readouterr().err
 
@@ -148,6 +151,39 @@ class TestHardInstanceCommands:
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["positive"] is True
+
+    def test_oversized_blowup_exit_two(self, tmp_path, capsys):
+        argv = [
+            "gen-hard", "--m", "1", "--b", "4", "--rho", "1",
+            "--k-prime", "10000000", "--out", str(tmp_path / "pair.json"),
+        ]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert "blowup_elements: 40000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-claim", "experiment"])
+    def test_long_pair_file_exit_two(self, tmp_path, capsys, command):
+        # m = 1 matches every pair, so only the string guard stands between
+        # a b = 40 file and the O(b^3) shift test.
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({
+            "m": 1, "b": 40, "rho": "99/100", "k_prime": 2,
+            "x": "23" * 20, "y": "2" * 20 + "3" * 20,
+        }))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "kind": "overflow-curve",
+            "parameters": {"pair_file": str(pair), "s_grid": [2]},
+        }))
+        argv = {
+            "verify-claim": ["verify-claim", "--pair", str(pair)],
+            "experiment": ["experiment", "--spec", str(spec)],
+        }[command]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert "hard_pair_strings" in capsys.readouterr().err
 
     def test_overflow(self, capsys):
         rc = main(["overflow", "--k", "100", "--s", "10", "--m", "1"])

@@ -227,6 +227,14 @@ class TestBlockConstruct:
             Fraction(4, 5 * b * k_prime), Fraction(6, 5 * b * k_prime)
         }
 
+    def test_blowup_elements_guard(self):
+        # Refused before any of the 4 * 10^7 masses is built.
+        d = MassString("2233").to_distribution()
+        with pytest.raises(
+            BudgetExceededError, match="blowup_elements: 40000000 blown-up elements"
+        ):
+            block_construct(d, d, 10**7)
+
     def test_blockwise_fingerprint_equality_survives(self):
         pair = make_hard_instance(3, 12, 1, 2)
         for s in (1, 2, 3):
@@ -257,10 +265,23 @@ class TestHardInstancePair:
         pair = HardInstancePair(1, 4, Fraction(1), x, x, 2, d, d, p_big, q_big)
         assert verify_distance_claim(pair) == 0
 
-    def test_claim_domain_guard(self):
-        found = find_hard_pair(3, 12, 1)
-        pair = HardInstancePair.build(found[0], found[1], 3, 1, 17)
-        with pytest.raises(BudgetExceededError, match="domain"):
+    @pytest.mark.parametrize(
+        "k_prime, distance", [(17, Fraction(19, 255)), (166, Fraction(28, 415))]
+    )
+    def test_blowup_distance_law(self, k_prime, distance):
+        # The (3,12) pair's blow-up sits at 1/15 + 2/(15k') for every k' >= 2.
+        x, y = find_hard_pair(3, 12, 1)
+        pair = HardInstancePair.build(x, y, 3, 1, k_prime)
+        assert distance == Fraction(1, 15) + Fraction(2, 15 * k_prime)
+        assert verify_distance_claim(pair) == distance
+
+    def test_binning_cells_bound_the_claim(self):
+        # n = 12 * 167 = 2004 elements need (n + 1) * n DP cells.
+        x, y = find_hard_pair(3, 12, 1)
+        pair = HardInstancePair.build(x, y, 3, 1, 167)
+        with pytest.raises(
+            BudgetExceededError, match="binning_cells: 4018020 DP cells"
+        ):
             verify_distance_claim(pair)
 
 

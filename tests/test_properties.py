@@ -13,21 +13,27 @@ from hypothesis import strategies as st
 
 from binident import (
     Distribution,
+    HardInstancePair,
     InfeasibleBinningError,
     IntervalPartition,
+    MassString,
     SampleSet,
     ak_distance,
+    block_construct,
     brute_force_ak_distance,
     brute_force_min_discrepancy,
     compositions,
     empirical,
+    fingerprint_of,
     greedy_repair,
     min_binned_discrepancy,
     moment_exhaustive,
     partition_discrepancy,
+    sample,
     total_variation,
 )
 from binident.fingerprints import multinomial, raw_moment_sums
+from binident.lowerbound import block_overflow_trial
 from binident.harness import distribution_from_json, distribution_to_json
 
 # Fixed example sequences keep the suite reproducible run to run.
@@ -204,6 +210,41 @@ def test_empirical_matches_counter_oracle(drawn, as_array):
     assert got._cdf_thresholds.tolist() == want._cdf_thresholds.tolist()
     weights, scale = got._integer
     assert scale == len(draws) and sum(weights) == scale
+
+
+@settings(PROPERTY, max_examples=200)
+@given(draws=st.lists(st.integers(1, 12), max_size=40), as_array=st.booleans())
+@example(draws=[], as_array=True)
+@example(draws=[9, 4, 9, 9, 1, 4], as_array=False)
+def test_fingerprint_matches_counter_oracle(draws, as_array):
+    samples = SampleSet(np.array(draws, dtype=np.int64) if as_array else draws)
+    if not draws:
+        with pytest.raises(ValueError, match="empty"):
+            fingerprint_of(samples)
+        return
+    counts = Counter(draws)
+    assert fingerprint_of(samples).counts == tuple(counts[v] for v in sorted(counts))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    half=st.integers(1, 3),
+    k_prime=st.integers(1, 8),
+    s=st.integers(0, 30),
+    m=st.integers(0, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(half=1, k_prime=3, s=0, m=0, seed=5)
+@example(half=2, k_prime=2, s=12, m=0, seed=7)
+def test_block_overflow_trial_matches_counter_oracle(half, k_prime, s, m, seed):
+    x = MassString("2" * half + "3" * half)
+    base = x.to_distribution()
+    p_big, q_big = block_construct(base, base, k_prime)
+    pair = HardInstancePair(m, x.b, Fraction(1), x, x, k_prime, base, base, p_big, q_big)
+    occupancy = Counter((v - 1) // x.b for v in sample(p_big, s, seed).values)
+    got = block_overflow_trial(pair, s, seed)
+    assert type(got) is bool
+    assert got == (max(occupancy.values(), default=0) > m)
 
 
 @settings(PROPERTY, max_examples=200)

@@ -26,8 +26,6 @@ class TestTestConfig:
             TestConfig(Fraction(3, 2))
         with pytest.raises(ValueError, match="constant"):
             TestConfig(Fraction(1, 2), learn_constant=0)
-        with pytest.raises(ValueError, match="fraction"):
-            TestConfig(Fraction(1, 2), accept_threshold_fraction=1)
 
     def test_sample_budget(self):
         cfg = TestConfig(Fraction(1, 10))
