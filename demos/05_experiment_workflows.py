@@ -1,7 +1,7 @@
 """Seeded experiments with reproducible CSV output.
 
 Every experiment kind takes a master seed, runs trial t with seed
-master_seed + t, writes one CSV row per (trial, parameter point), and
+(master_seed mod 2^64) + t, writes one CSV row per (trial, parameter point), and
 returns a summary recomputed from the rows.  The same spec always produces
 the same bytes, so result files can be diffed across machines and months.
 

@@ -106,12 +106,6 @@ def _cmd_gen_hard(args) -> int:
     pair = lowerbound.make_hard_instance(
         args.m, args.b, Fraction(args.rho), args.k_prime
     )
-    if pair is None:
-        print(
-            f"no moment-matched pair exists at m={args.m}, b={args.b}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
     harness.store_hard_pair(pair, args.out)
     _emit(
         {

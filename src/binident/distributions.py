@@ -43,6 +43,18 @@ def normalize_seed(seed: int) -> int:
     return int(seed) % (1 << 64)
 
 
+def trial_seeds(master_seed: int, trials: int) -> range:
+    """The seeds of trials 0, ..., trials - 1 of a seeded experiment.
+
+    Trial t runs with normalize_seed(master_seed) + t, so the seeds past
+    2**64 - 1 are not reduced again.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    base = normalize_seed(master_seed)
+    return range(base, base + trials)
+
+
 @dataclass(frozen=True)
 class Distribution:
     """A probability distribution over [n], stored as exact masses.
@@ -154,7 +166,7 @@ class SampleSet:
 
     The draws are held as a read-only int64 array; `values` is the same
     sequence as a tuple of Python ints, built on first use.  Equality and
-    hashing go by (values, seed).
+    hashing go by (draws, seed).
     """
 
     draws: np.ndarray
@@ -196,10 +208,10 @@ class SampleSet:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.values, self.seed) == (other.values, other.seed)
+        return self.seed == other.seed and np.array_equal(self.draws, other.draws)
 
     def __hash__(self):
-        return hash((self.values, self.seed))
+        return hash((self.draws.tobytes(), self.seed))
 
 
 def sample(d: Distribution, s: int, seed: int) -> SampleSet:
@@ -279,25 +291,21 @@ def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
     budgets.check("binning_cells", (n + 1) * ell, "DP cells")
     (w1, w2), scale = to_integers(d1, d2)
     diffs = list(accumulate((a - b for a, b in zip(w1, w2)), initial=0))
-    # best[i] = max value of a j-interval partition of the first i elements;
-    # |x| = max(x, -x) splits the transition into two running maxima.
-    best: list[int | None] = [None] * (n + 1)
-    best[0] = 0
-    for _ in range(ell):
-        plus: int | None = None   # max best[i'] + diffs[i']
-        minus: int | None = None  # max best[i'] - diffs[i']
-        nxt: list[int | None] = [None] * (n + 1)
-        for i in range(n + 1):
+    # best[i] = max value of a j-interval partition of the first i elements,
+    # from j = 1 (one interval, |diffs[i]|) up to ell; |x| = max(x, -x)
+    # splits each transition into running maxima of best[i'] +- diffs[i'].
+    # best is updated in place: plus and minus already hold the old best[i']
+    # for i' < i, and step i reads best[i] before overwriting it.
+    best = [abs(d) for d in diffs]
+    for _ in range(ell - 1):
+        plus = minus = best[0]
+        for i, d in enumerate(diffs):
             v = best[i]
-            if v is not None:
-                if plus is None or v + diffs[i] > plus:
-                    plus = v + diffs[i]
-                if minus is None or v - diffs[i] > minus:
-                    minus = v - diffs[i]
-            if plus is not None:
-                nxt[i] = max(plus - diffs[i], minus + diffs[i])
-        best = nxt
-    assert best[n] is not None
+            if v + d > plus:
+                plus = v + d
+            if v - d > minus:
+                minus = v - d
+            best[i] = plus - d if plus - d > minus + d else minus + d
     return Fraction(best[n], scale)
 
 

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Any, Mapping
 
 from .binning import IntervalPartition
-from .distributions import Distribution, as_fraction, normalize_seed
+from .distributions import Distribution, as_fraction, trial_seeds
 from .lowerbound import (
     DEFAULT_RHO,
     HardInstancePair,
@@ -242,18 +242,16 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
         b = int(params["b"])
         rho = as_fraction(params.get("rho", DEFAULT_RHO))
         pair = make_hard_instance(m, b, rho, int(params["k_prime"]))
-        if pair is None:
-            raise ValueError(f"no moment-matched pair exists at m={m}, b={b}")
     s_grid = [int(s) for s in params["s_grid"]]
     curve = sample_size_curve(pair, s_grid, spec.trials, spec.master_seed)
-    base = normalize_seed(spec.master_seed)
+    seeds = trial_seeds(spec.master_seed, spec.trials)
     columns = (
         "kind", "m", "b", "k_prime", "master_seed",
         "s", "trial", "seed", "overflow", "exact_probability",
     )
     lead = {"m": pair.m, "b": pair.b, "k_prime": pair.k_prime}
     trials = (
-        {**r, "trial": t, "seed": base + t, "overflow": overflow}
+        {**r, "trial": t, "seed": seeds[t], "overflow": overflow}
         for r in curve
         for t, overflow in enumerate(r["outcomes"])
     )

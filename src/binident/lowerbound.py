@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import budgets
-from .distributions import Distribution, Rational, as_fraction, normalize_seed, sample
+from .distributions import Distribution, Rational, as_fraction, sample, trial_seeds
 from .binning import coarsening_distance
 from .fingerprints import check_moment_budget, compositions, moment_vector, raw_moment_sums
 
@@ -275,13 +275,12 @@ class HardInstancePair:
         return cls(m, b, rho_f, x, y, k_prime, p_base, q_base, p_big, q_big)
 
 
-def make_hard_instance(
-    m: int, b: int, rho: Rational, k_prime: int
-) -> HardInstancePair | None:
-    """find_hard_pair followed by the validated block blow-up."""
+def make_hard_instance(m: int, b: int, rho: Rational, k_prime: int) -> HardInstancePair:
+    """find_hard_pair followed by the validated block blow-up; refuses (m, b)
+    cells with no pair."""
     found = find_hard_pair(m, b, rho)
     if found is None:
-        return None
+        raise ValueError(f"no moment-matched pair exists at m={m}, b={b}")
     x, y = found
     return HardInstancePair.build(x, y, m, rho, k_prime)
 
@@ -343,29 +342,25 @@ def sample_size_curve(
 
     A trial counts as an overflow when the drawn sample puts at least m+1
     values into a single block, the precondition for fingerprints to carry
-    any distinguishing signal.  Trial t reuses seed + t at every grid point,
-    so the empirical fractions are monotone in s by construction and each
-    point still matches its exact probability marginally.  Each row carries
-    the per-trial results in trial order as "outcomes" (overflow_count is
-    their sum).
+    any distinguishing signal.  Trial t reuses seed trial_seeds(seed,
+    trials)[t] at every grid point, so the empirical fractions are monotone
+    in s by construction and each point still matches its exact probability
+    marginally.  Each row carries the per-trial results in trial order as
+    "outcomes".
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    base = normalize_seed(seed)
+    seeds = trial_seeds(seed, trials)
     rows = []
     for s in s_grid:
         if s < 0:
             raise ValueError("sample sizes must be nonnegative")
         exact = block_overflow_probability(pair.k_prime, s, pair.m)
-        outcomes = [block_overflow_trial(pair, s, base + t) for t in range(trials)]
-        hits = sum(outcomes)
+        outcomes = [block_overflow_trial(pair, s, t_seed) for t_seed in seeds]
         rows.append(
             {
                 "s": s,
                 "trials": trials,
                 "outcomes": outcomes,
-                "overflow_count": hits,
-                "overflow_fraction": Fraction(hits, trials),
+                "overflow_fraction": Fraction(sum(outcomes), trials),
                 "exact_probability": exact,
             }
         )

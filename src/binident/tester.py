@@ -27,8 +27,8 @@ from .distributions import (
     ak_distance,
     as_fraction,
     empirical,
-    normalize_seed,
     sample,
+    trial_seeds,
 )
 
 ACCEPT = "accept"
@@ -143,27 +143,25 @@ def error_curve(
 ) -> list[dict]:
     """Accept/reject outcomes over an epsilon grid of seeded trials.
 
-    Trial t runs with seed master_seed + t at every epsilon, so the whole
-    table is reproducible from master_seed alone.  One row per
-    (epsilon, trial) with keys epsilon, trial, seed, samples, delta (None
-    when q admits no binning of [n]), threshold (the accept cutoff the
+    Trial t runs with seed trial_seeds(master_seed, trials)[t] at every
+    epsilon, so the whole table is reproducible from master_seed alone.  One
+    row per (epsilon, trial) with keys epsilon, trial, seed, samples, delta
+    (None when q admits no binning of [n]), threshold (the accept cutoff the
     delta was compared against) and verdict; the accept frequency is
     recomputable from the rows.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    base = normalize_seed(master_seed)
+    seeds = trial_seeds(master_seed, trials)
     rows = []
     for eps in epsilons:
         eps_f = as_fraction(eps)
-        for t in range(trials):
-            cfg = TestConfig(eps_f, learn_constant=learn_constant, seed=base + t)
+        for t, seed in enumerate(seeds):
+            cfg = TestConfig(eps_f, learn_constant=learn_constant, seed=seed)
             report = bin_identity_test(p, q, p.n, cfg)
             rows.append(
                 {
                     "epsilon": eps_f,
                     "trial": t,
-                    "seed": base + t,
+                    "seed": seed,
                     "samples": report.samples_used,
                     "delta": report.delta,
                     "threshold": report.threshold,
@@ -184,23 +182,22 @@ def calibration_curve(
     """Interval-distance error of the tester's learning step, per seeded trial.
 
     Trial t draws the tester's sample budget ceil(C * k / eps^2) from p with
-    seed master_seed + t and measures the A_k distance of the empirical
-    distribution from p against the accept threshold.  One row per trial
-    with keys trial, seed, samples, ak_error, target and passed.
+    seed trial_seeds(master_seed, trials)[t] and measures the A_k distance
+    of the empirical distribution from p against the accept threshold.  One
+    row per trial with keys trial, seed, samples, ak_error, target and
+    passed.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    seeds = trial_seeds(master_seed, trials)
     cfg = TestConfig(epsilon, learn_constant)
     target = cfg.accept_threshold
     samples = cfg.sample_budget(k)
-    base = normalize_seed(master_seed)
     rows = []
-    for t in range(trials):
-        err = ak_distance(empirical(sample(p, samples, base + t), p.n), p, k)
+    for t, seed in enumerate(seeds):
+        err = ak_distance(empirical(sample(p, samples, seed), p.n), p, k)
         rows.append(
             {
                 "trial": t,
-                "seed": base + t,
+                "seed": seed,
                 "samples": samples,
                 "ak_error": err,
                 "target": target,

@@ -152,6 +152,13 @@ class TestHardInstanceCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["positive"] is True
 
+    def test_gen_hard_without_a_pair_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "pair.json"
+        assert main(["gen-hard", "--m", "1", "--b", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "binident: error: no moment-matched pair exists at m=1, b=2\n"
+        assert not out.exists()
+
     def test_oversized_blowup_exit_two(self, tmp_path, capsys):
         argv = [
             "gen-hard", "--m", "1", "--b", "4", "--rho", "1",

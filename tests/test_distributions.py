@@ -1,12 +1,15 @@
 """Tests for exact distributions, sampling, and the distance operations."""
 
+import ast
 import math
 from bisect import bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import binident
 from binident import (
     Distribution,
     SampleSet,
@@ -17,6 +20,7 @@ from binident import (
     sample,
     total_variation,
 )
+from binident.distributions import trial_seeds
 from conftest import random_distribution
 
 
@@ -293,3 +297,38 @@ class TestSampleSet:
         assert not drawn.draws.flags.writeable
         assert drawn == SampleSet(list(drawn.values), seed=4)
 
+    def test_list_and_array_inputs_compare_on_draws(self):
+        listed = SampleSet([4, 1, 4, 2], seed=9)
+        arrayed = SampleSet(np.array([4, 1, 4, 2], dtype=np.uint8), seed=9)
+        assert listed == arrayed and hash(listed) == hash(arrayed)
+        assert listed != SampleSet([4, 1, 4, 2], seed=10)
+        assert listed != SampleSet([4, 1, 4], seed=9)
+        # Equality and hashing read the draw array, never the values tuple.
+        assert "values" not in vars(listed) and "values" not in vars(arrayed)
+
+
+class TestTrialSeeds:
+    def test_values(self):
+        assert trial_seeds(5, 3) == range(5, 8)
+        assert list(trial_seeds(1 << 64, 2)) == [0, 1]
+
+    def test_negative_master_seed_wraps_then_counts_on(self):
+        assert list(trial_seeds(-1, 2)) == [(1 << 64) - 1, 1 << 64]
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_at_least_one_trial(self, trials):
+        with pytest.raises(ValueError, match="trials must be at least 1"):
+            trial_seeds(0, trials)
+
+
+def test_only_distributions_reduces_seeds():
+    # Trial loops take their seeds from trial_seeds, so the reduction rule
+    # has one owner.
+    callers = set()
+    for path in Path(binident.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call) and name == "normalize_seed":
+                callers.add(path.name)
+    assert callers == {"distributions.py"}

@@ -27,6 +27,8 @@ from binident.harness import (
     store_distribution,
     store_hard_pair,
 )
+from binident.distributions import trial_seeds
+from binident.lowerbound import block_overflow_trial
 from conftest import random_distribution
 
 
@@ -180,6 +182,36 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert len(result.rows) == 100
         assert set(result.summary["overflow_fraction"]) == {"2", "4"}
+
+    def test_overflow_seeds_follow_trial_seeds(self):
+        spec = ExperimentSpec(
+            "overflow-curve",
+            {"m": 1, "b": 4, "rho": "1", "k_prime": 5, "s_grid": [2, 7]},
+            master_seed=-2,
+            trials=3,
+            output_path="",
+        )
+        result = run_experiment(spec)
+        pair = make_hard_instance(1, 4, 1, 5)
+        seeds = list(trial_seeds(-2, 3))
+        at = {c: result.columns.index(c) for c in ("s", "trial", "seed", "overflow")}
+        assert [row[at["seed"]] for row in result.rows] == seeds * 2
+        for row in result.rows:
+            assert row[at["seed"]] == seeds[row[at["trial"]]]
+            assert row[at["overflow"]] == block_overflow_trial(
+                pair, row[at["s"]], row[at["seed"]]
+            )
+
+    def test_overflow_curve_without_a_pair(self):
+        spec = ExperimentSpec(
+            "overflow-curve",
+            {"m": 1, "b": 2, "rho": "1", "k_prime": 5, "s_grid": [2]},
+            master_seed=0,
+            trials=1,
+            output_path="",
+        )
+        with pytest.raises(ValueError, match="no moment-matched pair exists at m=1, b=2"):
+            run_experiment(spec)
 
     def test_hard_pair_search(self, tmp_path):
         out = tmp_path / "search.csv"
