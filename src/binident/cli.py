@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -146,6 +147,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use; parse_args returns a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     formatted = argparse.ArgumentParser(add_help=False)
     formatted.add_argument("--format", choices=("json", "csv"), default="json")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -214,11 +215,37 @@ class SampleSet:
         return hash((self.draws.tobytes(), self.seed))
 
 
+_thread = threading.local()
+
+
+def _keyed_philox(seed: int) -> np.random.Philox:
+    """This thread's Philox generator, set to the start of seed's stream.
+
+    The state is the one `np.random.Philox(key=normalize_seed(seed))` starts
+    in: counter 0, an empty 4-word buffer.  Re-keying through `state` skips
+    the OS-entropy SeedSequence that constructing a generator first builds.
+    """
+    gen = getattr(_thread, "philox", None)
+    if gen is None:
+        gen = _thread.philox = np.random.Philox()
+    gen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (normalize_seed(seed), 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
+
+
 def sample(d: Distribution, s: int, seed: int) -> SampleSet:
     """Draw s values from d, deterministically for a given seed.
 
-    Uses the counter-based Philox 4x64 generator keyed with the seed; each
-    raw 64-bit output u selects the smallest element i with
+    The raw draws are the stream of `np.random.Philox(key=seed mod 2**64)`,
+    the counter-based Philox 4x64 generator; each thread re-keys its own
+    generator to that stream rather than building one per call.  Each raw
+    64-bit output u selects the smallest element i with
     u < ceil(prefix[i] * 2**64).  Per-element probabilities differ from the
     exact masses by less than 2**-64 (< 2**-63 per draw), and zero-mass
     elements are never drawn.
@@ -226,7 +253,7 @@ def sample(d: Distribution, s: int, seed: int) -> SampleSet:
     if s < 0:
         raise ValueError("sample count must be nonnegative")
     budgets.check("sample_draws", s, "draws")
-    raws = np.random.Philox(key=normalize_seed(seed)).random_raw(s)
+    raws = _keyed_philox(seed).random_raw(s)
     values = np.searchsorted(d._cdf_thresholds, raws, side="right")
     values += 1  # in place: large draws hold one s-entry array fewer at peak
     return SampleSet._trusted(values, seed)

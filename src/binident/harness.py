@@ -250,17 +250,19 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
         "s", "trial", "seed", "overflow", "exact_probability",
     )
     lead = {"m": pair.m, "b": pair.b, "k_prime": pair.k_prime}
-    trials = (
-        {**r, "trial": t, "seed": seeds[t], "overflow": overflow}
-        for r in curve
-        for t, overflow in enumerate(r["outcomes"])
-    )
-    rows = _table(spec, columns, lead, trials)
+    rows = []
+    for r in curve:
+        size = {**lead, "s": r["s"], "exact_probability": r["exact_probability"]}
+        trials = (
+            {"trial": t, "seed": seed, "overflow": overflow}
+            for t, (seed, overflow) in enumerate(zip(seeds, r["outcomes"]))
+        )
+        rows += _table(spec, columns, size, trials)
     summary = {
         "overflow_fraction": {str(r["s"]): str(r["overflow_fraction"]) for r in curve},
         "exact_probability": {str(r["s"]): str(r["exact_probability"]) for r in curve},
     }
-    return ExperimentResult(columns, rows, summary)
+    return ExperimentResult(columns, tuple(rows), summary)
 
 
 def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:

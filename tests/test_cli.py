@@ -1,13 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
-from binident.cli import main
+from binident.cli import build_parser, main
 from binident.harness import load_hard_pair, store_distribution
 from binident import Distribution
+from binident.tester import DEFAULT_LEARN_CONSTANT
 
 
 @pytest.fixture
@@ -96,6 +99,30 @@ class TestTestCommand:
         )
         rc = main(["test", "--p", "-", "--q", q4_file, "--n", "4", "--eps", "1/10"])
         assert rc == 0
+
+
+class TestParserReuse:
+    """One parser serves every call; nothing carries over between calls."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_sample_count_does_not_carry_over(self, p20_file, q4_file, capsys):
+        argv = ["test", "--p", p20_file, "--q", q4_file, "--n", "20", "--eps", "1/10"]
+        assert main([*argv, "--samples", "40"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["samples"] == 40
+        assert main(argv) in (0, 1)
+        default = math.ceil(DEFAULT_LEARN_CONSTANT * 4 / Fraction(1, 10) ** 2)
+        assert json.loads(capsys.readouterr().out)["samples"] == default
+
+    def test_refused_call_then_valid_call(self, p20_file, q4_file, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["test", "--p", p20_file, "--n", "20", "--eps", "1/10"])
+        assert refused.value.code == 2
+        assert "--q" in capsys.readouterr().err
+        argv = ["test", "--p", p20_file, "--q", q4_file, "--n", "20", "--eps", "1/10"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "accept"
 
 
 class TestDistanceCommands:

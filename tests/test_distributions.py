@@ -2,6 +2,7 @@
 
 import ast
 import math
+import threading
 from bisect import bisect_right
 from fractions import Fraction
 from pathlib import Path
@@ -140,6 +141,50 @@ class TestSamplerEdgeCases:
             d = random_distribution(rng, rng.randint(1, 12))
             seed = rng.randint(-(2**70), 2**70)
             assert sample(d, 200, seed).values == reference_draws(d, 200, seed)
+
+
+class TestSamplerGenerator:
+    """Each thread re-keys one generator; the streams stay Philox(key=seed mod 2^64)."""
+
+    # Odd sizes leave a partly used 4-word buffer behind, which a re-key
+    # must discard; 0 draws nothing at all.
+    CALLS = [
+        (seed, size)
+        for size in (1, 3, 5, 0, 7)
+        for seed in (0, -1, 2**64 - 1, 2**64 + 5, 123456789)
+    ]
+    D = Distribution(["1/7", "2/7", "0", "3/7", "1/7"])
+
+    def test_interleaved_calls_match_documented_rule(self):
+        for seed, size in self.CALLS:
+            drawn = sample(self.D, size, seed)
+            assert tuple(drawn.draws.tolist()) == reference_draws(self.D, size, seed)
+
+    def test_same_streams_in_another_thread(self):
+        expected = [reference_draws(self.D, size, seed) for seed, size in self.CALLS]
+        drawn = []
+        worker = threading.Thread(
+            target=lambda: drawn.extend(
+                sample(self.D, size, seed).values for seed, size in self.CALLS
+            )
+        )
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert drawn == expected
+
+    def test_at_most_one_generator_per_thread(self, monkeypatch):
+        made = []
+        philox = np.random.Philox
+
+        def counting_philox(*args, **kwargs):
+            made.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        for seed in range(100):
+            sample(self.D, 3, seed)
+        assert len(made) <= 1
 
 
 class TestEmpirical:
