@@ -4,30 +4,31 @@ The central operation takes a distribution over [n] and a reference over
 [k] and minimizes the summed bin discrepancy sum_j |p(I_j) - q(j)| over all
 partitions of [n] into k consecutive, possibly empty intervals, optionally
 requiring a nonempty interval for every positive-mass bin.  A suffix DP
-over integer-scaled prefix masses gives the exact minimum in O(n k);
-enumeration oracles are kept alongside for cross-checks at small sizes.
+over integer-scaled prefix masses gives the exact minimum in O(n k log n)
+array work; enumeration oracles are kept alongside for small-size checks.
 
-Each DP row costs O(n).  Bin j starting after element i with target
-T = pre[i] + q_j pays |pre[x] - T| + tail[x] for a next bound x, which is
-pre[x] + tail[x] - T once pre[x] >= T and tail[x] - pre[x] + T below that.
-As pre is nondecreasing, the split h(i), the first x with pre[x] >= T,
-never moves left as i grows, and neither does the first admissible x (i,
-or i + 1 when the bin must be nonempty).  So the part at or above the split
-is a suffix minimum of pre + tail, and the part below it is a window
-minimum of tail - pre whose both ends only move right: a monotone deque.
+Bin j starting after element i with target T = pre[i] + q_j pays
+|pre[x] - T| + tail[x] for a next bound x, tail being the next DP row.
+The split h(i), the first x with pre[x] >= T, is one `searchsorted` per
+row.  At or above it the least cost is a suffix minimum of pre + tail,
+minus T; below it, a window minimum of tail - pre over [i + shift, h(i)),
+plus T, read from a sparse table.  Infeasible states hold the sentinel
+inf = 4 * scale + 1, above every finite cost (at most 2 * scale), and
+every row is clamped to it.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from typing import Iterator
 
+import numpy as np
+
 from . import budgets
-from .distributions import Distribution, to_integers
+from .distributions import Distribution, prefix_sums, to_integers
 
 
 class InfeasibleBinningError(ValueError):
@@ -114,6 +115,26 @@ def _admissible(partition: IntervalPartition, q: Distribution, nonempty: bool) -
     return all(not (q.pmf[j] > 0 and partition.is_empty(j)) for j in range(q.n))
 
 
+def _window_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, empty: int) -> np.ndarray:
+    """min(values[lo[i]:hi[i]]) for every i, or `empty` where lo[i] >= hi[i].
+
+    A sparse table holds the minimum of every window of length 2^l; a window
+    of length w is the union of the two of length 2^floor(log2 w) at its ends.
+    """
+    live = hi > lo
+    level = np.frexp(np.where(live, hi - lo, 1))[1] - 1  # floor(log2(hi - lo))
+    # The last column holds `empty` for the empty windows; no other query
+    # reads an entry whose window runs past the end.
+    table = np.full((int(level.max()) + 1, len(values) + 1), empty, dtype=values.dtype)
+    table[0, :-1] = values
+    for l in range(1, len(table)):
+        half = 1 << (l - 1)
+        table[l, :-half] = np.minimum(table[l - 1, :-half], table[l - 1, half:])
+    left = np.where(live, lo, -1)
+    right = np.where(live, hi - (1 << level), -1)
+    return np.minimum(table[level, left], table[level, right])
+
+
 def min_binned_discrepancy(
     p_hat: Distribution, q: Distribution, require_nonempty_on_support: bool
 ) -> BinningResult:
@@ -135,72 +156,39 @@ def min_binned_discrepancy(
                 f"interval of a {n}-element domain"
             )
     (weights, ref), scale = to_integers(p_hat, q)
-    pre = list(accumulate(weights, initial=0))
+    pre = prefix_sums(weights, scale)
+    inf = 4 * scale + 1  # the infeasible state: 2 * inf bounds every value formed
 
     # suffix[j][i]: least cost of covering elements i+1..n with bins j+1..k.
-    suffix: list[list[int | None]] = [[None] * (n + 1) for _ in range(k + 1)]
-    suffix[k][n] = 0
+    suffix = np.full((k + 1, n + 1), inf, dtype=pre.dtype)
+    suffix[k, n] = 0
     for j in range(k - 1, -1, -1):
-        qj = ref[j]
-        shift = int(require_nonempty_on_support and qj > 0)
         tail = suffix[j + 1]
-        # above[x]: least pre[y] + tail[y] over feasible y >= x.
-        above: list[int | None] = [None] * (n + 2)
-        best: int | None = None
-        for x in range(n, -1, -1):
-            t = tail[x]
-            if t is not None:
-                v = pre[x] + t
-                if best is None or v < best:
-                    best = v
-            above[x] = best
-        low = [None if t is None else t - p for t, p in zip(tail, pre)]
-        row = suffix[j]
-        window: deque[int] = deque()  # feasible x in [start, h), low[x] rising
-        h = 0
-        for i in range(n + 1):
-            start = i + shift
-            target = pre[i] + qj
-            while h <= n and pre[h] < target:
-                v = low[h]
-                if v is not None:
-                    while window and low[window[-1]] >= v:
-                        window.pop()
-                    window.append(h)
-                h += 1
-            while window and window[0] < start:
-                window.popleft()
-            best = above[start if start > h else h]
-            if best is not None:
-                best -= target
-            if window:
-                v = low[window[0]] + target
-                if best is None or v < best:
-                    best = v
-            row[i] = best
+        target = pre + ref[j]
+        start = np.arange(n + 1) + int(require_nonempty_on_support and ref[j] > 0)
+        split = np.searchsorted(pre, target)
+        # above[x]: least pre[y] + tail[y] over y >= x; above[n + 1] = 2 * inf
+        # leaves an empty range at least inf once the target is subtracted.
+        above = np.append(np.minimum.accumulate((pre + tail)[::-1])[::-1], 2 * inf)
+        row = np.minimum(
+            above[np.maximum(start, split)] - target,
+            _window_min(tail - pre, start, split, inf) + target,
+        )
+        suffix[j] = np.minimum(row, inf)
 
-    total = suffix[0][0]
-    if total is None:
+    total = int(suffix[0, 0])
+    if total >= inf:
         raise InfeasibleBinningError("no admissible partition exists")
 
-    # Front-greedy reconstruction: the smallest feasible next bound at every
-    # step yields the lexicographically smallest optimal witness.
+    # Front-greedy reconstruction: the smallest admissible optimal next bound
+    # at every step gives the lexicographically smallest witness.
     bounds = [0]
     cur = 0
     for j in range(k):
-        qj = ref[j]
-        must_fill = require_nonempty_on_support and qj > 0
-        start = cur + 1 if must_fill else cur
-        for nxt in range(start, n + 1):
-            tail = suffix[j + 1][nxt]
-            if tail is None:
-                continue
-            if abs(pre[nxt] - pre[cur] - qj) + tail == suffix[j][cur]:
-                bounds.append(nxt)
-                cur = nxt
-                break
-        else:
-            raise AssertionError("witness reconstruction failed")
+        start = cur + int(require_nonempty_on_support and ref[j] > 0)
+        cost = np.abs(pre[start:] - (pre[cur] + ref[j])) + suffix[j + 1, start:]
+        cur = start + int(np.flatnonzero(cost == suffix[j, cur])[0])
+        bounds.append(cur)
 
     return BinningResult(Fraction(total, scale), IntervalPartition(bounds))
 

@@ -302,14 +302,28 @@ def to_integers(*dists: Distribution) -> tuple[list[Sequence[int]], int]:
     return scaled, scale
 
 
+def prefix_sums(weights: Sequence[int], scale: int) -> np.ndarray:
+    """[0, w1, w1 + w2, ..., sum(weights)] as the array of the interval DPs.
+
+    Both DPs form values of magnitude at most 2 * inf = 8 * scale + 2, inf
+    being the binning sentinel 4 * scale + 1.  So the array is int64 while
+    inf.bit_length() < 62, where every value stays below 2^63, and else
+    object: the same code on Python ints, bounded by the `scale_bits` guard.
+    """
+    dtype = np.int64 if (4 * scale + 1).bit_length() < 62 else object
+    out = np.zeros(len(weights) + 1, dtype=dtype)
+    np.cumsum(np.asarray(weights, dtype=dtype), out=out[1:])
+    return out
+
+
 def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
     """Max over ell-interval partitions of the summed interval-mass gaps.
 
     Interpolates between twice the Kolmogorov distance (ell = 2) and twice
-    the total variation (ell = n).  Computed exactly by a running-maximum DP over the
-    integer-scaled prefix differences in O(n * ell) transitions, bounded by
-    the `binning_cells` ceiling on its (n + 1) * ell table; the enumeration
-    oracle in `binning` cross-checks it at small sizes.
+    the total variation (ell = n).  Computed exactly by ell - 1 whole-row
+    running-maximum passes over the integer-scaled prefix differences, O(n *
+    ell) array work under the `binning_cells` ceiling on (n + 1) * ell; the
+    enumeration oracle in `binning` cross-checks it at small sizes.
     """
     _require_same_domain(d1, d2)
     n = d1.n
@@ -317,23 +331,18 @@ def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
         raise ValueError(f"interval count {ell} outside [1, {n}]")
     budgets.check("binning_cells", (n + 1) * ell, "DP cells")
     (w1, w2), scale = to_integers(d1, d2)
-    diffs = list(accumulate((a - b for a, b in zip(w1, w2)), initial=0))
+    diffs = prefix_sums(w1, scale) - prefix_sums(w2, scale)
     # best[i] = max value of a j-interval partition of the first i elements,
-    # from j = 1 (one interval, |diffs[i]|) up to ell; |x| = max(x, -x)
-    # splits each transition into running maxima of best[i'] +- diffs[i'].
-    # best is updated in place: plus and minus already hold the old best[i']
-    # for i' < i, and step i reads best[i] before overwriting it.
-    best = [abs(d) for d in diffs]
+    # from j = 1 (one interval, |diffs[i]|) up to ell.  The next row is the
+    # max over i' <= i of best[i'] + |diffs[i] - diffs[i']|, and
+    # |x| = max(x, -x) splits it into running maxima of best +- diffs.
+    best = np.abs(diffs)
     for _ in range(ell - 1):
-        plus = minus = best[0]
-        for i, d in enumerate(diffs):
-            v = best[i]
-            if v + d > plus:
-                plus = v + d
-            if v - d > minus:
-                minus = v - d
-            best[i] = plus - d if plus - d > minus + d else minus + d
-    return Fraction(best[n], scale)
+        best = np.maximum(
+            np.maximum.accumulate(best + diffs) - diffs,
+            np.maximum.accumulate(best - diffs) + diffs,
+        )
+    return Fraction(int(best[n]), scale)
 
 
 def kolmogorov_distance(d1: Distribution, d2: Distribution) -> Fraction:

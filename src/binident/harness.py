@@ -103,6 +103,9 @@ def hard_pair_to_json(pair: HardInstancePair) -> dict:
 
 
 def hard_pair_from_json(data: Mapping[str, Any]) -> HardInstancePair:
+    for key in ("m", "rho", "k_prime", "x", "y"):
+        if not isinstance(data, Mapping) or key not in data:
+            raise ValueError(f'hard pair JSON must carry "{key}"')
     pair = HardInstancePair.build(
         MassString(data["x"]),
         MassString(data["y"]),
@@ -153,20 +156,12 @@ class ExperimentResult:
     summary: dict
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    return str(value)
-
-
 def write_rows_csv(path: str, columns: tuple[str, ...], rows) -> None:
+    """Header, then rows of str(cell) with None empty; flag columns hold 0/1."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def _resolve_distribution(params: Mapping[str, Any], key: str) -> Distribution:
@@ -227,7 +222,8 @@ def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
         "trial", "seed", "samples", "ak_error", "target", "passed",
     )
     lead = {"n": p.n, "k": k, "epsilon": epsilon, "constant": constant}
-    rows = _table(spec, columns, lead, curve)
+    flagged = ({**r, "passed": int(r["passed"])} for r in curve)
+    rows = _table(spec, columns, lead, flagged)
     passed = sum(r["passed"] for r in curve)
     summary = {"pass_fraction": str(Fraction(passed, spec.trials))}
     return ExperimentResult(columns, rows, summary)
@@ -254,7 +250,7 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
     for r in curve:
         size = {**lead, "s": r["s"], "exact_probability": r["exact_probability"]}
         trials = (
-            {"trial": t, "seed": seed, "overflow": overflow}
+            {"trial": t, "seed": seed, "overflow": int(overflow)}
             for t, (seed, overflow) in enumerate(zip(seeds, r["outcomes"]))
         )
         rows += _table(spec, columns, size, trials)
@@ -273,7 +269,7 @@ def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:
     found = find_hard_pair(m, b, rho)
     columns = ("kind", "m", "b", "rho", "shift_threshold", "found", "x", "y")
     x, y = ("", "") if found is None else (v.symbols for v in found)
-    rows = ((spec.kind, m, b, rho, shift_threshold(rho, b), found is not None, x, y),)
+    rows = ((spec.kind, m, b, rho, shift_threshold(rho, b), int(found is not None), x, y),)
     summary = {"found": False} if found is None else {"found": True, "x": x, "y": y}
     return ExperimentResult(columns, rows, summary)
 

@@ -164,6 +164,16 @@ def is_partial_cyclic_shift(x: MassString, y: MassString, r: int) -> CyclicShift
     return CyclicShiftResult(False)
 
 
+def _check_pair_parameters(m: int, rho: Rational) -> Fraction:
+    """rho as a Fraction, once m >= 1 and rho in (0, 1] are checked."""
+    if m < 1:
+        raise ValueError("m must be at least 1")
+    rho_f = as_fraction(rho)
+    if not 0 < rho_f <= 1:
+        raise ValueError("rho must lie in (0, 1]")
+    return rho_f
+
+
 def find_hard_pair(
     m: int, b: int, rho: Rational
 ) -> tuple[MassString, MassString] | None:
@@ -173,11 +183,7 @@ def find_hard_pair(
     returns the lexicographically first pair (x, y) in one bucket that fails
     the ceil(rho*b)-partial cyclic shift test, or None when no pair exists.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
-    rho_f = as_fraction(rho)
-    if not 0 < rho_f <= 1:
-        raise ValueError("rho must lie in (0, 1]")
+    rho_f = _check_pair_parameters(m, rho)
     r = shift_threshold(rho_f, b)
     # HardInstancePair.build checks the same table for any pair found.
     check_moment_budget(b, m)
@@ -252,15 +258,15 @@ class HardInstancePair:
     ) -> "HardInstancePair":
         """Assemble and validate a pair from its base strings.
 
-        Checks, exactly: equal fingerprint distributions at every s <= m,
-        failure of the ceil(rho*b)-partial cyclic shift test, and the block
-        structure of the blow-up.  Strings longer than `find_hard_pair`
-        admits at the same budget are refused first, since the shift test
-        alone costs O(b^3).
+        Checks, exactly: m >= 1 and rho in (0, 1] as `find_hard_pair` does,
+        equal fingerprint distributions at every s <= m, failure of the
+        ceil(rho*b)-partial cyclic shift test, and the block structure of
+        the blow-up.  Strings longer than `find_hard_pair` admits at the
+        same budget are refused first, since the shift test costs O(b^3).
         """
+        rho_f = _check_pair_parameters(m, rho)
         if x.b != y.b:
             raise ValueError(f"lengths differ: {x.b} vs {y.b}")
-        rho_f = as_fraction(rho)
         b = x.b
         _check_string_budget(b)
         p_base = x.to_distribution()

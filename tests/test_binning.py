@@ -94,6 +94,20 @@ class TestMinBinnedDiscrepancy:
         with pytest.raises(InfeasibleBinningError, match="positive-mass bins"):
             min_binned_discrepancy(p, q, True)
 
+    @pytest.mark.parametrize("scale", [7, 2**61 - 1])  # int64 and Python-int rows
+    def test_sentinel_stays_out_of_delta(self, scale):
+        # Three positive bins over three elements: every DP state off the
+        # one-element-per-bin path holds the infeasibility sentinel.
+        tip = Fraction(1, scale)
+        p = Distribution([tip, 2 * tip, 1 - 3 * tip])
+        q = Distribution(["1/2", "0", "1/4", "0", "1/4"])
+        result = min_binned_discrepancy(p, q, True)
+        assert result == brute_force_min_discrepancy(p, q, True)
+        assert result.witness.bounds == (0, 1, 1, 2, 2, 3)
+        assert result.delta <= 2
+        with pytest.raises(InfeasibleBinningError, match="4 positive-mass bins"):
+            min_binned_discrepancy(p, Distribution(["1/4"] * 4), True)
+
     def test_matches_enumeration_both_flags(self, rng):
         for _ in range(100):
             n = rng.randint(1, 8)

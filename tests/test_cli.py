@@ -219,6 +219,24 @@ class TestHardInstanceCommands:
         assert time.perf_counter() - start < 1
         assert "hard_pair_strings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"m": -3}, "m must be at least 1"), ({"x": None}, 'hard pair JSON must carry "x"')],
+    )
+    def test_bad_pair_file_exit_two(self, tmp_path, capsys, change, message):
+        pair = tmp_path / "pair.json"
+        assert main(["gen-hard", "--m", "1", "--b", "4", "--rho", "1", "--out", str(pair)]) == 0
+        data = json.loads(pair.read_text())
+        for key, value in change.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        pair.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["verify-claim", "--pair", str(pair)]) == 2
+        assert capsys.readouterr().err == f"binident: error: {message}\n"
+
     def test_overflow(self, capsys):
         rc = main(["overflow", "--k", "100", "--s", "10", "--m", "1"])
         assert rc == 0

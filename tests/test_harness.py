@@ -95,6 +95,22 @@ class TestHardPairSerialization:
         loaded = load_hard_pair(str(path))
         assert loaded == pair
 
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_nonpositive_m_rejected(self, tmp_path, m):
+        data = hard_pair_to_json(make_hard_instance(1, 4, 1, 2))
+        data["m"] = m
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="m must be at least 1"):
+            load_hard_pair(str(path))
+
+    @pytest.mark.parametrize("key", ["m", "rho", "k_prime", "x", "y"])
+    def test_missing_key_named(self, key):
+        data = hard_pair_to_json(make_hard_instance(1, 4, 1, 2))
+        del data[key]
+        with pytest.raises(ValueError, match=f'hard pair JSON must carry "{key}"'):
+            hard_pair_from_json(data)
+
     def test_tampered_distribution_rejected(self):
         pair = make_hard_instance(1, 4, 1, 2)
         data = hard_pair_to_json(pair)

@@ -248,6 +248,18 @@ class TestHardInstancePair:
         with pytest.raises(ValueError, match="cyclic shifts"):
             HardInstancePair.build(x, x.rotated(2), 1, 1, 2)
 
+    @pytest.mark.parametrize(
+        "m, rho, message",
+        [(0, 1, "m must be at least 1"), (-3, 1, "m must be at least 1"),
+         (1, 0, r"rho must lie in \(0, 1\]"), (1, "3/2", r"rho must lie in \(0, 1\]")],
+    )
+    def test_build_checks_m_and_rho_as_the_search_does(self, m, rho, message):
+        x, y = MassString("2233"), MassString("2323")
+        with pytest.raises(ValueError, match=message):
+            find_hard_pair(m, 4, rho)
+        with pytest.raises(ValueError, match=message):
+            HardInstancePair.build(x, y, m, rho, 2)
+
     def test_build_rejects_moment_mismatch(self):
         with pytest.raises(ValueError, match="disagree"):
             HardInstancePair.build(MassString("2233"), MassString("2323"), 3, 1, 2)

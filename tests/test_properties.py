@@ -32,6 +32,7 @@ from binident import (
     sample,
     total_variation,
 )
+from binident.distributions import prefix_sums, to_integers
 from binident.fingerprints import multinomial, raw_moment_sums
 from binident.lowerbound import block_overflow_trial
 from binident.harness import distribution_from_json, distribution_to_json
@@ -105,6 +106,72 @@ def test_ak_distance_matches_enumeration(data):
     )
     ell = data.draw(st.integers(1, n))
     assert ak_distance(d1, d2, ell) == brute_force_ak_distance(d1, d2, ell)
+
+
+# The interval DPs switch from int64 to Python ints at this common scale,
+# where their sentinel 4 * scale + 1 first needs 62 bits.
+OBJECT_SCALE = 2**59
+
+
+def test_interval_dp_dtype_edge():
+    assert prefix_sums([1, 2], OBJECT_SCALE - 1).dtype == np.int64
+    assert prefix_sums([1, 2], OBJECT_SCALE).dtype == object
+    assert prefix_sums([1, 2], OBJECT_SCALE).tolist() == [0, 1, 3]
+
+
+def lifted(d: Distribution) -> Distribution:
+    """d moved by 1/(2^61 - 1) toward element 1: the prime 2^61 - 1 enters
+    the scale unless d is the point mass at 1."""
+    e = Fraction(1, 2**61 - 1)
+    return Distribution([(1 - e) * v + (e if i == 0 else 0) for i, v in enumerate(d.pmf)])
+
+
+def edge_pair(scale: int, n: int) -> tuple[Distribution, Distribution]:
+    """A distribution over [n] with scale exactly `scale`, and its mirror."""
+    tip = Fraction(1, scale)
+    p = Distribution([2 * tip, *[0] * (n - 3), tip, 1 - 3 * tip])
+    return p, p.reversed()
+
+
+def past_int64(pairs: st.SearchStrategy) -> st.SearchStrategy:
+    """Lifted pairs whose common scale is at least 2^60 (the object path)."""
+    return pairs.map(lambda pq: tuple(map(lifted, pq))).filter(
+        lambda pq: to_integers(*pq)[1] >= 2**60
+    )
+
+
+@settings(PROPERTY, max_examples=150)
+@given(pq=past_int64(st.tuples(distributions(8), distributions(5))), flag=st.booleans())
+@example(pq=edge_pair(OBJECT_SCALE - 1, 4), flag=True)
+@example(pq=edge_pair(OBJECT_SCALE, 4), flag=True)
+def test_dp_matches_enumeration_past_int64(pq, flag):
+    p, q = pq
+    try:
+        want = brute_force_min_discrepancy(p, q, flag)
+    except InfeasibleBinningError:
+        with pytest.raises(InfeasibleBinningError):
+            min_binned_discrepancy(p, q, flag)
+        return
+    assert min_binned_discrepancy(p, q, flag) == want
+
+
+def same_domain_pairs(max_n: int) -> st.SearchStrategy:
+    entry = st.just(0) | st.integers(1, 6)
+    return st.integers(2, max_n).flatmap(
+        lambda n: st.tuples(*[
+            st.lists(entry, min_size=n, max_size=n).filter(any).map(Distribution.from_weights)
+        ] * 2)
+    )
+
+
+@settings(PROPERTY, max_examples=60)
+@given(pq=past_int64(same_domain_pairs(6)))
+@example(pq=edge_pair(OBJECT_SCALE - 1, 5))
+@example(pq=edge_pair(OBJECT_SCALE, 5))
+def test_ak_distance_matches_enumeration_past_int64(pq):
+    d1, d2 = pq
+    for ell in range(1, d1.n + 1):
+        assert ak_distance(d1, d2, ell) == brute_force_ak_distance(d1, d2, ell)
 
 
 def mass_blocks() -> st.SearchStrategy[list[list[int]]]:
