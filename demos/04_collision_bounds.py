@@ -5,7 +5,8 @@ blocks and are indistinguishable unless one block receives more than m
 samples.  The chance of that is a generalized birthday problem: throw s
 balls into k' boxes and ask for a box with at least m+1 occupants.
 
-The package computes this probability exactly by dynamic programming; for
+The package computes this probability exactly with J. C. P. Miller's
+recurrence for the powers of a polynomial, in s*m steps whatever k'; for
 m = 1 it collapses to the classical birthday product.  The sample-size
 curve then confirms the numbers empirically on a real blown-up pair.
 """
@@ -33,7 +34,7 @@ stay_distinct = Fraction(1)
 for i in range(s):
     stay_distinct *= 1 - Fraction(i, k_prime)
 print(f"birthday product at s = {s}:", float(1 - stay_distinct))
-print("matches the DP exactly:",
+print("matches the recurrence exactly:",
       block_overflow_probability(k_prime, s, 1) == 1 - stay_distinct)
 print()
 

@@ -21,7 +21,9 @@ DEFAULT_LIMITS: dict[str, int] = {
     "moment_literal_terms": 6_000_000,   # literal summation steps
     "hard_pair_strings": 184_756,        # balanced strings, C(b, b/2) at b = 20
     "blowup_elements": 100_000,          # blown-up domain size b * k'
-    "overflow_transitions": 2_000_000,   # occupancy-DP transitions
+    # The transitions of the former k'-block occupancy DP, kept because they
+    # bound the s*m steps of the overflow recurrence.
+    "overflow_transitions": 2_000_000,
     "sample_draws": 10_000_000,          # draws in one sample() call
     "binning_cells": 4_000_000,          # binning DP cells, (n + 1) * k
     "scale_bits": 2048,                  # bits of a kernel's common scale

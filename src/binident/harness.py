@@ -50,6 +50,13 @@ def _entry_to_fraction(entry: Any, exact: bool, position: int) -> Fraction:
         raise ValueError(f"entry {position}: not a finite number: {entry!r}") from exc
 
 
+def _integer(value: Any, field: str) -> int:
+    """`value` when it is an int and not a bool; int() would truncate 2.7."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def distribution_from_json(data: Mapping[str, Any], exact: bool = False) -> Distribution:
     if not isinstance(data, Mapping) or "n" not in data or "pmf" not in data:
         raise ValueError('distribution JSON must carry "n" and "pmf"')
@@ -109,9 +116,9 @@ def hard_pair_from_json(data: Mapping[str, Any]) -> HardInstancePair:
     pair = HardInstancePair.build(
         MassString(data["x"]),
         MassString(data["y"]),
-        int(data["m"]),
-        Fraction(data["rho"]),
-        int(data["k_prime"]),
+        _integer(data["m"], "m"),
+        as_fraction(data["rho"]),
+        _integer(data["k_prime"], "k_prime"),
     )
     for key in ("p_base", "q_base", "p_big", "q_big"):
         if key in data:
@@ -164,6 +171,16 @@ def write_rows_csv(path: str, columns: tuple[str, ...], rows) -> None:
         writer.writerows(rows)
 
 
+def _required(params: Mapping[str, Any], key: str) -> Any:
+    if key not in params:
+        raise ValueError(f'parameters need "{key}"')
+    return params[key]
+
+
+def _required_integer(params: Mapping[str, Any], key: str) -> int:
+    return _integer(_required(params, key), key)
+
+
 def _resolve_distribution(params: Mapping[str, Any], key: str) -> Distribution:
     if key in params:
         return distribution_from_json(params[key], exact=False)
@@ -193,7 +210,7 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     p = _resolve_distribution(params, "p")
     q = _resolve_distribution(params, "q")
-    epsilons = [as_fraction(e) for e in params["epsilons"]]
+    epsilons = [as_fraction(e) for e in _required(params, "epsilons")]
     constant = as_fraction(params.get("constant", DEFAULT_LEARN_CONSTANT))
     curve = error_curve(p, q, epsilons, spec.trials, spec.master_seed, constant)
     columns = (
@@ -209,13 +226,13 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
-    k = int(params["k"])
-    epsilon = as_fraction(params["epsilon"])
+    k = _required_integer(params, "k")
+    epsilon = as_fraction(_required(params, "epsilon"))
     constant = as_fraction(params.get("constant", DEFAULT_LEARN_CONSTANT))
     if "p" in params or "p_file" in params:
         p = _resolve_distribution(params, "p")
     else:
-        p = Distribution.uniform(int(params["n"]))
+        p = Distribution.uniform(_required_integer(params, "n"))
     curve = calibration_curve(p, k, epsilon, spec.trials, spec.master_seed, constant)
     columns = (
         "kind", "n", "k", "epsilon", "constant", "master_seed",
@@ -231,14 +248,14 @@ def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
+    s_grid = [_integer(s, f"s_grid[{i}]") for i, s in enumerate(_required(params, "s_grid"))]
     if "pair_file" in params:
         pair = load_hard_pair(params["pair_file"])
     else:
-        m = int(params["m"])
-        b = int(params["b"])
+        m = _required_integer(params, "m")
+        b = _required_integer(params, "b")
         rho = as_fraction(params.get("rho", DEFAULT_RHO))
-        pair = make_hard_instance(m, b, rho, int(params["k_prime"]))
-    s_grid = [int(s) for s in params["s_grid"]]
+        pair = make_hard_instance(m, b, rho, _required_integer(params, "k_prime"))
     curve = sample_size_curve(pair, s_grid, spec.trials, spec.master_seed)
     seeds = trial_seeds(spec.master_seed, spec.trials)
     columns = (
@@ -263,8 +280,8 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
-    m = int(params["m"])
-    b = int(params["b"])
+    m = _required_integer(params, "m")
+    b = _required_integer(params, "b")
     rho = as_fraction(params.get("rho", DEFAULT_RHO))
     found = find_hard_pair(m, b, rho)
     columns = ("kind", "m", "b", "rho", "shift_threshold", "found", "x", "y")
@@ -291,12 +308,18 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
 
 def experiment_spec_from_json(data: Mapping[str, Any]) -> ExperimentSpec:
+    if not isinstance(data, Mapping) or "kind" not in data:
+        raise ValueError('spec JSON must carry "kind"')
+    output_path = data.get("output_path", "")
+    if not isinstance(output_path, str):
+        # open() takes an int as a file descriptor of this process.
+        raise ValueError(f"output_path must be a string, got {output_path!r}")
     return ExperimentSpec(
         kind=data["kind"],
         parameters=data.get("parameters", {}),
-        master_seed=int(data.get("master_seed", 0)),
-        trials=int(data.get("trials", 1)),
-        output_path=data.get("output_path", ""),
+        master_seed=_integer(data.get("master_seed", 0), "master_seed"),
+        trials=_integer(data.get("trials", 1), "trials"),
+        output_path=output_path,
     )
 
 

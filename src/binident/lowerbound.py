@@ -10,7 +10,8 @@ The ingredients, all exact:
   s-draw fingerprint probability up to s = m yet are not shifts;
 * a block blow-up spreading a base pair uniformly over k' blocks, the
   coarsening distance of the blown-up pair, and the exact probability that
-  s uniform throws overflow some block past m occupants.
+  s uniform throws overflow some block past m occupants, counted in s*m
+  steps by Miller's power recurrence.
 """
 
 from __future__ import annotations
@@ -305,8 +306,10 @@ def verify_distance_claim(pair: HardInstancePair) -> Fraction:
 def block_overflow_probability(k_prime: int, s: int, m: int) -> Fraction:
     """Exact chance that s uniform throws put > m balls into some block.
 
-    Complement counted by a DP over (blocks processed, balls placed) with
-    binomial weights; compare the birthday closed form at m = 1.
+    ways[r], the throws of r balls with no block over m, is
+    r! [x^r] (sum_{c<=m} x^c/c!)^k'.  J. C. P. Miller's power recurrence
+    (Knuth, TAOCP vol. 2, sec. 4.7) gives it in s*m steps, whatever k':
+    r*ways[r] = sum_{j=1}^{min(m,r)} ((k'+1)*j - r) * C(r, j) * ways[r-j].
     """
     if k_prime < 1:
         raise ValueError("k_prime must be at least 1")
@@ -314,21 +317,16 @@ def block_overflow_probability(k_prime: int, s: int, m: int) -> Fraction:
         raise ValueError("s and m must be nonnegative")
     if s <= m:
         return Fraction(0)
+    # The former k'-block DP's transition count still bounds the recurrence:
+    # at most s*m steps on integers of at most s*log2(k') bits.
     budgets.check(
         "overflow_transitions", k_prime * (s + 1) * (min(m, s) + 1), "transitions"
     )
-    # ways[r]: assignments of r labeled balls to the blocks processed so
-    # far, none exceeding m occupants.
-    ways = [0] * (s + 1)
-    ways[0] = 1
-    for _ in range(k_prime):
-        nxt = [0] * (s + 1)
-        for r in range(s + 1):
-            if ways[r] == 0:
-                continue
-            for c in range(min(m, s - r) + 1):
-                nxt[r + c] += ways[r] * math.comb(r + c, c)
-        ways = nxt
+    ways = [1]
+    for r in range(1, s + 1):
+        js = range(1, min(m, r) + 1)
+        terms = (((k_prime + 1) * j - r) * math.comb(r, j) * ways[r - j] for j in js)
+        ways.append(sum(terms) // r)  # the sum is r*ways[r], so this is exact
     return 1 - Fraction(ways[s], k_prime**s)
 
 

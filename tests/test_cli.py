@@ -243,6 +243,11 @@ class TestHardInstanceCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["probability"] == "145251363454963/390625000000000"
 
+    def test_overflow_refused_by_the_transition_guard(self, capsys):
+        assert main(["overflow", "--k", "10000", "--s", "2000", "--m", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "overflow_transitions: 80040000 transitions exceeds budget 2000000" in err
+
 
 class TestExperimentCommand:
     def test_runs_spec_file(self, tmp_path, capsys):
@@ -260,6 +265,18 @@ class TestExperimentCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] == 3
         assert out_path.exists()
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [({"parameters": {"n": 8, "k": 2, "epsilon": "1/2"}}, 'spec JSON must carry "kind"'),
+         ({"kind": "overflow-curve", "parameters": {"m": 1, "b": 4, "k_prime": 2}},
+          'parameters need "s_grid"')],
+    )
+    def test_missing_key_named(self, tmp_path, capsys, spec, message):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["experiment", "--spec", str(spec_path)]) == 2
+        assert capsys.readouterr().err == f"binident: error: {message}\n"
 
 
 # Flags that a subcommand would accept and then ignore are not offered.

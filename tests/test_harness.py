@@ -118,6 +118,20 @@ class TestHardPairSerialization:
         with pytest.raises(ValueError, match="disagrees"):
             hard_pair_from_json(data)
 
+    @pytest.mark.parametrize("value", [1.7, True, "3"])
+    @pytest.mark.parametrize("key", ["m", "k_prime"])
+    def test_integer_fields_are_strict(self, key, value):
+        data = hard_pair_to_json(make_hard_instance(1, 4, 1, 2))
+        data[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            hard_pair_from_json(data)
+
+    def test_boolean_rho_refused(self):
+        data = hard_pair_to_json(make_hard_instance(1, 4, 1, 2))
+        data["rho"] = True
+        with pytest.raises(TypeError, match="booleans"):
+            hard_pair_from_json(data)
+
 
 class TestExperimentSpec:
     def test_unknown_kind_rejected(self):
@@ -131,6 +145,64 @@ class TestExperimentSpec:
     def test_from_json_defaults(self):
         spec = experiment_spec_from_json({"kind": "hard-pair-search"})
         assert spec.master_seed == 0 and spec.trials == 1
+
+    def test_missing_kind_named(self):
+        with pytest.raises(ValueError, match='spec JSON must carry "kind"'):
+            experiment_spec_from_json({"parameters": {}, "trials": 2})
+
+    @pytest.mark.parametrize("value", [1.7, True, "3"])
+    @pytest.mark.parametrize("key", ["master_seed", "trials"])
+    def test_integer_fields_are_strict(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            experiment_spec_from_json({"kind": "hard-pair-search", key: value})
+
+    @pytest.mark.parametrize("value", [1, None])
+    def test_output_path_must_be_a_string(self, value):
+        # An int would be opened as a file descriptor and closed after writing.
+        with pytest.raises(ValueError, match=f"output_path must be a string, got {value}"):
+            experiment_spec_from_json({"kind": "hard-pair-search", "output_path": value})
+
+
+# A valid parameter set per kind; each test below changes one entry.
+RUNNER_PARAMETERS = {
+    "test-curve": {"p": {"n": 1, "pmf": ["1"]}, "q": {"n": 1, "pmf": ["1"]},
+                   "epsilons": ["1/2"]},
+    "calibration": {"n": 8, "k": 2, "epsilon": "1/2"},
+    "overflow-curve": {"m": 1, "b": 4, "rho": "1", "k_prime": 2, "s_grid": [2]},
+    "hard-pair-search": {"m": 1, "b": 4, "rho": "1"},
+}
+
+
+class TestRunnerParameters:
+    @pytest.mark.parametrize("value", [1.7, True, "3"])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [("calibration", "n"), ("calibration", "k"), ("overflow-curve", "m"),
+         ("overflow-curve", "b"), ("overflow-curve", "k_prime"),
+         ("hard-pair-search", "m"), ("hard-pair-search", "b")],
+    )
+    def test_integers_are_strict(self, kind, key, value):
+        params = {**RUNNER_PARAMETERS[kind], key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            run_experiment(ExperimentSpec(kind, params, 0, 1, ""))
+
+    @pytest.mark.parametrize("value", [1.7, True, "3"])
+    def test_grid_entries_are_strict(self, value):
+        params = {**RUNNER_PARAMETERS["overflow-curve"], "s_grid": [2, value]}
+        message = rf"s_grid\[1\] must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=message):
+            run_experiment(ExperimentSpec("overflow-curve", params, 0, 1, ""))
+
+    @pytest.mark.parametrize(
+        "kind, key",
+        [(kind, key) for kind, params in RUNNER_PARAMETERS.items()
+         for key in params if key not in ("p", "q", "rho")],
+    )
+    def test_missing_parameter_named(self, kind, key):
+        params = dict(RUNNER_PARAMETERS[kind])
+        del params[key]
+        with pytest.raises(ValueError, match=f'parameters need "{key}"'):
+            run_experiment(ExperimentSpec(kind, params, 0, 1, ""))
 
 
 class TestRunExperiment:

@@ -2,9 +2,13 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binident import (
     BudgetExceededError,
@@ -320,6 +324,48 @@ class TestBlockOverflow:
             block_overflow_probability(0, 3, 1)
         with pytest.raises(ValueError):
             block_overflow_probability(5, -1, 1)
+
+
+def block_dp_no_overflow(k_prime, s, m):
+    """Throws of s labeled balls into k' blocks with none over m, one block at
+    a time: k'*(s+1)*(m+1) binomial transitions."""
+    ways = [1] + [0] * s
+    for _ in range(k_prime):
+        nxt = [0] * (s + 1)
+        for r in range(s + 1):
+            for c in range(min(m, s - r) + 1):
+                nxt[r + c] += ways[r] * math.comb(r + c, c)
+        ways = nxt
+    return ways[s]
+
+
+def enumerated_no_overflow(k_prime, s, m):
+    """The same count over all k'^s throws."""
+    throws = product(range(k_prime), repeat=s)
+    return sum(max(Counter(t).values(), default=0) <= m for t in throws)
+
+
+# Half the cells are small enough (k'^s <= 4096) to enumerate every throw.
+small_cells = st.tuples(st.integers(1, 8), st.integers(0, 12)).filter(
+    lambda ks: ks[0] ** ks[1] <= 4096
+)
+wide_cells = st.tuples(st.integers(1, 40), st.integers(0, 45))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(cell=small_cells | wide_cells, m=st.integers(0, 7))
+@example(cell=(5, 3), m=0)
+@example(cell=(1, 9), m=4)
+@example(cell=(7, 4), m=3)
+@example(cell=(3, 7), m=2)
+def test_overflow_law_matches_both_oracles(cell, m):
+    k_prime, s = cell
+    got = block_overflow_probability(k_prime, s, m)
+    assert got == 1 - Fraction(block_dp_no_overflow(k_prime, s, m), k_prime**s)
+    if k_prime**s <= 4096:
+        assert got == 1 - Fraction(enumerated_no_overflow(k_prime, s, m), k_prime**s)
+    if s > k_prime * m:
+        assert got == 1
 
 
 @pytest.fixture(scope="module")
