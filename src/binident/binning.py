@@ -238,38 +238,26 @@ def greedy_repair(
     """Move mass between intervals until every bin matches the reference.
 
     Returns p* with p*(I_j) = q(j) for all j and
-    total_variation(p, p*) = (1/2) sum_j |p(I_j) - q(j)|, exactly.  Mass
-    leaves an over-full interval from its highest-index element first and
-    lands on the lowest-index element of the receiving interval, making the
-    result deterministic.
+    total_variation(p, p*) = (1/2) sum_j |p(I_j) - q(j)|, exactly.  Each
+    over-full interval loses its surplus from its highest-index element
+    down, and each under-full one gains its deficit on its lowest-index
+    element; intervals are disjoint, so one pass over the bins suffices.
     """
     if partition.k != q.n:
         raise ValueError(f"partition has {partition.k} intervals, reference {q.n} bins")
-    masses = list(partition.masses(p))
-    for j in range(q.n):
-        if masses[j] < q.pmf[j] and partition.is_empty(j):
-            raise InfeasibleBinningError(
-                f"bin {j + 1} is under-full but its interval is empty"
-            )
     new = list(p.pmf)
-    surplus = [m - qj for m, qj in zip(masses, q.pmf)]
-    while True:
-        j1 = next((j for j, v in enumerate(surplus) if v > 0), None)
-        if j1 is None:
-            break
-        j2 = next(j for j, v in enumerate(surplus) if v < 0)
-        delta = min(surplus[j1], -surplus[j2])
-        lo, hi = partition.interval(j1)
-        need = delta
-        for e in range(hi - 1, lo - 1, -1):
-            take = min(new[e], need)
-            new[e] -= take
-            need -= take
-            if need == 0:
-                break
-        lo2, _ = partition.interval(j2)
-        new[lo2] += delta
-        surplus[j1] -= delta
-        surplus[j2] += delta
+    for j, (mass, target) in enumerate(zip(partition.masses(p), q.pmf)):
+        lo, hi = partition.interval(j)
+        if mass < target:
+            if lo == hi:
+                raise InfeasibleBinningError(
+                    f"bin {j + 1} is under-full but its interval is empty"
+                )
+            new[lo] += target - mass
+        excess = mass - target
+        while excess > 0:  # the interval holds mass >= excess
+            hi -= 1
+            take = min(new[hi], excess)
+            new[hi] -= take
+            excess -= take
     return Distribution(new)
-

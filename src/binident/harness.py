@@ -5,7 +5,9 @@ entry is a number or an exact string like ``"3/10"``; exact mode insists on
 strings.  Stored files always use the exact string form, so a store/load
 round trip reproduces identical rationals.  Experiments write one CSV row
 per (trial, parameter point) with fixed columns; identical specs produce
-bit-identical files, and summaries are always recomputed from rows.
+bit-identical files, and summaries are always recomputed from rows.  Spec
+fields and runner parameters are type-checked by name before any work, and
+paths must be strings: open() takes an int as a file descriptor.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Mapping
 
+from . import budgets
 from .binning import IntervalPartition
 from .distributions import Distribution, as_fraction, trial_seeds
 from .lowerbound import (
@@ -55,6 +58,21 @@ def _integer(value: Any, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
     return value
+
+
+def _string(value: Any, field: str) -> str:
+    """`value` when it is a str; open() takes an int as a file descriptor."""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string, got {value!r}")
+    return value
+
+
+def _rational(value: Any, field: str) -> Fraction:
+    """as_fraction(value), or a refusal that names the field."""
+    try:
+        return as_fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"{field} must be a rational number, got {value!r}") from None
 
 
 def distribution_from_json(data: Mapping[str, Any], exact: bool = False) -> Distribution:
@@ -150,8 +168,15 @@ class ExperimentSpec:
     output_path: str
 
     def __post_init__(self):
-        if self.kind not in _RUNNERS:
+        if _string(self.kind, "kind") not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if not isinstance(self.parameters, Mapping):
+            raise ValueError(f"parameters must be a mapping, got {self.parameters!r}")
+        # Every path is checked before any file is opened.
+        _string(self.output_path, "output_path")
+        for key in ("p_file", "q_file", "pair_file"):
+            if key in self.parameters:
+                _string(self.parameters[key], key)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
 
@@ -179,6 +204,13 @@ def _required(params: Mapping[str, Any], key: str) -> Any:
 
 def _required_integer(params: Mapping[str, Any], key: str) -> int:
     return _integer(_required(params, key), key)
+
+
+def _required_list(params: Mapping[str, Any], key: str) -> list:
+    value = _required(params, key)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def _resolve_distribution(params: Mapping[str, Any], key: str) -> Distribution:
@@ -210,8 +242,10 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     p = _resolve_distribution(params, "p")
     q = _resolve_distribution(params, "q")
-    epsilons = [as_fraction(e) for e in _required(params, "epsilons")]
-    constant = as_fraction(params.get("constant", DEFAULT_LEARN_CONSTANT))
+    epsilons = [
+        _rational(e, f"epsilons[{i}]") for i, e in enumerate(_required_list(params, "epsilons"))
+    ]
+    constant = _rational(params.get("constant", DEFAULT_LEARN_CONSTANT), "constant")
     curve = error_curve(p, q, epsilons, spec.trials, spec.master_seed, constant)
     columns = (
         "kind", "epsilon", "constant", "master_seed",
@@ -227,12 +261,18 @@ def _run_test_curve(spec: ExperimentSpec) -> ExperimentResult:
 def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     k = _required_integer(params, "k")
-    epsilon = as_fraction(_required(params, "epsilon"))
-    constant = as_fraction(params.get("constant", DEFAULT_LEARN_CONSTANT))
-    if "p" in params or "p_file" in params:
-        p = _resolve_distribution(params, "p")
-    else:
-        p = Distribution.uniform(_required_integer(params, "n"))
+    epsilon = _rational(_required(params, "epsilon"), "epsilon")
+    constant = _rational(params.get("constant", DEFAULT_LEARN_CONSTANT), "constant")
+    p = _resolve_distribution(params, "p") if "p" in params or "p_file" in params else None
+    n = _required_integer(params, "n") if p is None else p.n
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, n = {n}], got {k}")
+    # ak_distance charges the same cells, but only after sampling.
+    budgets.check("binning_cells", (n + 1) * k, "DP cells")
+    if p is None:
+        p = Distribution.uniform(n)
     curve = calibration_curve(p, k, epsilon, spec.trials, spec.master_seed, constant)
     columns = (
         "kind", "n", "k", "epsilon", "constant", "master_seed",
@@ -248,13 +288,13 @@ def _run_calibration(spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
-    s_grid = [_integer(s, f"s_grid[{i}]") for i, s in enumerate(_required(params, "s_grid"))]
+    s_grid = [_integer(s, f"s_grid[{i}]") for i, s in enumerate(_required_list(params, "s_grid"))]
     if "pair_file" in params:
         pair = load_hard_pair(params["pair_file"])
     else:
         m = _required_integer(params, "m")
         b = _required_integer(params, "b")
-        rho = as_fraction(params.get("rho", DEFAULT_RHO))
+        rho = _rational(params.get("rho", DEFAULT_RHO), "rho")
         pair = make_hard_instance(m, b, rho, _required_integer(params, "k_prime"))
     curve = sample_size_curve(pair, s_grid, spec.trials, spec.master_seed)
     seeds = trial_seeds(spec.master_seed, spec.trials)
@@ -282,7 +322,7 @@ def _run_hard_pair_search(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     m = _required_integer(params, "m")
     b = _required_integer(params, "b")
-    rho = as_fraction(params.get("rho", DEFAULT_RHO))
+    rho = _rational(params.get("rho", DEFAULT_RHO), "rho")
     found = find_hard_pair(m, b, rho)
     columns = ("kind", "m", "b", "rho", "shift_threshold", "found", "x", "y")
     x, y = ("", "") if found is None else (v.symbols for v in found)
@@ -310,16 +350,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 def experiment_spec_from_json(data: Mapping[str, Any]) -> ExperimentSpec:
     if not isinstance(data, Mapping) or "kind" not in data:
         raise ValueError('spec JSON must carry "kind"')
-    output_path = data.get("output_path", "")
-    if not isinstance(output_path, str):
-        # open() takes an int as a file descriptor of this process.
-        raise ValueError(f"output_path must be a string, got {output_path!r}")
     return ExperimentSpec(
         kind=data["kind"],
         parameters=data.get("parameters", {}),
         master_seed=_integer(data.get("master_seed", 0), "master_seed"),
         trials=_integer(data.get("trials", 1), "trials"),
-        output_path=output_path,
+        output_path=data.get("output_path", ""),
     )
 
 

@@ -17,7 +17,7 @@ The ingredients, all exact:
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
@@ -200,21 +200,19 @@ def find_hard_pair(
         rows = [tuple(row) for row in keys.tolist()]
     else:
         rows = keys.view(np.dtype((np.void, keys.itemsize * len(comps)))).ravel().tolist()
-    buckets = defaultdict(deque)
+    buckets = defaultdict(list)
     for i, row in enumerate(rows):
         buckets[row].append(i)
-    # Codes are visited in increasing order, so each string is at the front
-    # of its bucket when reached and the rest of the bucket lies after it.
     for i, row in enumerate(rows):
-        later = buckets[row]
-        later.popleft()
-        if not later:
+        bucket = buckets[row]
+        if len(bucket) == 1:
             continue
         x = _decode(int(codes[i]), b)
-        for j in later:
-            y = _decode(int(codes[j]), b)
-            if not is_partial_cyclic_shift(x, y, r).is_shift:
-                return x, y
+        for j in bucket:
+            if j > i:
+                y = _decode(int(codes[j]), b)
+                if not is_partial_cyclic_shift(x, y, r).is_shift:
+                    return x, y
     return None
 
 

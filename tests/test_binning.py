@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from binident import (
     BudgetExceededError,
@@ -237,3 +239,68 @@ class TestGreedyRepair:
         q = Distribution.uniform(2)
         with pytest.raises(ValueError, match="domain sizes differ"):
             greedy_repair(Distribution.uniform(4), partition, q)
+
+
+def pairing_repair(p, partition, q):
+    """Repair oracle: pair the first over-full bin with the first under-full
+    one and move the smaller of surplus and deficit, until no bin is off."""
+    if partition.k != q.n:
+        raise ValueError(f"partition has {partition.k} intervals, reference {q.n} bins")
+    masses = list(partition.masses(p))
+    for j in range(q.n):
+        if masses[j] < q.pmf[j] and partition.is_empty(j):
+            raise InfeasibleBinningError(
+                f"bin {j + 1} is under-full but its interval is empty"
+            )
+    new = list(p.pmf)
+    surplus = [m - qj for m, qj in zip(masses, q.pmf)]
+    while True:
+        j1 = next((j for j, v in enumerate(surplus) if v > 0), None)
+        if j1 is None:
+            break
+        j2 = next(j for j, v in enumerate(surplus) if v < 0)
+        delta = min(surplus[j1], -surplus[j2])
+        lo, hi = partition.interval(j1)
+        need = delta
+        for e in range(hi - 1, lo - 1, -1):
+            take = min(new[e], need)
+            new[e] -= take
+            need -= take
+            if need == 0:
+                break
+        lo2, _ = partition.interval(j2)
+        new[lo2] += delta
+        surplus[j1] -= delta
+        surplus[j2] += delta
+    return Distribution(new)
+
+
+# Weights with zeros, so both p and q can hold zero masses.
+weight_lists = st.lists(st.integers(0, 4), min_size=1, max_size=8).filter(any)
+
+
+@st.composite
+def repair_cases(draw):
+    p = Distribution.from_weights(draw(weight_lists))
+    q = Distribution.from_weights(draw(weight_lists.filter(lambda w: len(w) <= 5)))
+    cuts = draw(st.lists(st.integers(0, p.n), min_size=q.n - 1, max_size=q.n - 1))
+    return p, IntervalPartition([0, *sorted(cuts), p.n]), q
+
+
+def repair_outcome(repair, case):
+    """The repaired distribution, or the message of the infeasibility error."""
+    try:
+        return repair(*case)
+    except InfeasibleBinningError as exc:
+        return str(exc)
+
+
+# Feasible with an empty zero-target bin, then infeasible at the second bin.
+@example((Distribution(["1/2", "0", "1/2"]), IntervalPartition([0, 2, 2, 3]),
+          Distribution(["1/4", "0", "3/4"])))
+@example((Distribution(["1/2", "1/2"]), IntervalPartition([0, 2, 2, 2]),
+          Distribution(["1/2", "1/4", "1/4"])))
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=repair_cases())
+def test_repair_matches_pairing_oracle(case):
+    assert repair_outcome(greedy_repair, case) == repair_outcome(pairing_repair, case)

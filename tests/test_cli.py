@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+from binident import harness
 from binident.cli import build_parser, main
 from binident.harness import load_hard_pair, store_distribution
 from binident import Distribution
 from binident.tester import DEFAULT_LEARN_CONSTANT
+from test_harness import RUNNER_PARAMETERS
 
 
 @pytest.fixture
@@ -249,6 +251,19 @@ class TestHardInstanceCommands:
         assert "overflow_transitions: 80040000 transitions exceeds budget 2000000" in err
 
 
+def spec_with(kind, **parameters):
+    """A valid spec of the given kind with some parameters replaced."""
+    return {"kind": kind, "parameters": {**RUNNER_PARAMETERS[kind], **parameters}}
+
+
+def run_spec(tmp_path, capsys, spec):
+    """Exit code and stderr of `binident experiment` on the given spec."""
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["experiment", "--spec", str(spec_path)])
+    return rc, capsys.readouterr().err
+
+
 class TestExperimentCommand:
     def test_runs_spec_file(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
@@ -278,6 +293,66 @@ class TestExperimentCommand:
         assert main(["experiment", "--spec", str(spec_path)]) == 2
         assert capsys.readouterr().err == f"binident: error: {message}\n"
 
+    @pytest.mark.parametrize("value", [0, 3, True])
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("test-curve", "p_file"), ("test-curve", "q_file"),
+         ("calibration", "p_file"), ("overflow-curve", "pair_file")],
+    )
+    def test_path_fields_must_be_strings(
+        self, tmp_path, capsys, monkeypatch, kind, field, value
+    ):
+        # open() takes an int as a file descriptor: 0 would read stdin.
+        def guard(file, *args, **kwargs):
+            if isinstance(file, int):
+                raise AssertionError(f"open() was handed descriptor {file}")
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "open", guard, raising=False)
+        spec = spec_with(kind, **{field: value})
+        spec["parameters"].pop(field.removesuffix("_file"), None)
+        rc, err = run_spec(tmp_path, capsys, spec)
+        assert (rc, err) == (2, f"binident: error: {field} must be a string, got {value!r}\n")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [({"kind": "hard-pair-search", "parameters": 5}, "parameters must be a mapping, got 5"),
+         ({"kind": []}, "kind must be a string, got []"),
+         (spec_with("overflow-curve", s_grid=5), "s_grid must be a list, got 5"),
+         (spec_with("test-curve", epsilons=5), "epsilons must be a list, got 5"),
+         (spec_with("test-curve", epsilons=["1/2", "abc"]),
+          "epsilons[1] must be a rational number, got 'abc'"),
+         (spec_with("calibration", epsilon=math.inf),
+          "epsilon must be a rational number, got inf"),
+         (spec_with("calibration", constant="abc"),
+          "constant must be a rational number, got 'abc'"),
+         (spec_with("hard-pair-search", rho=True), "rho must be a rational number, got True"),
+         (spec_with("overflow-curve", rho=True), "rho must be a rational number, got True")],
+    )
+    def test_spec_shapes_and_rationals_name_their_field(self, tmp_path, capsys, spec, message):
+        assert run_spec(tmp_path, capsys, spec) == (2, f"binident: error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [({"n": 10**9}, "binning_cells: 2000000002 DP cells exceeds budget"),
+         ({"n": 0, "k": 1}, "n must be at least 1, got 0"),
+         ({"k": 0}, "k must lie in [1, n = 8], got 0"),
+         ({"k": 9}, "k must lie in [1, n = 8], got 9"),
+         ({"p": {"n": 2, "pmf": ["1/2", "1/2"]}, "k": 0}, "k must lie in [1, n = 2], got 0")],
+    )
+    def test_calibration_refuses_before_it_allocates(
+        self, tmp_path, capsys, monkeypatch, params, message
+    ):
+        uniform = Distribution.uniform.__func__
+
+        def guarded(cls, n):
+            if n > 10**6:
+                raise AssertionError(f"uniform({n}) would allocate {n} fractions")
+            return uniform(cls, n)
+
+        monkeypatch.setattr(Distribution, "uniform", classmethod(guarded))
+        rc, err = run_spec(tmp_path, capsys, spec_with("calibration", **params))
+        assert rc == 2 and err.startswith(f"binident: error: {message}")
 
 # Flags that a subcommand would accept and then ignore are not offered.
 REMOVED_FLAGS = [

@@ -138,6 +138,16 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             ExperimentSpec("curve", {}, 0, 1, "out.csv")
 
+    @pytest.mark.parametrize(
+        "kind, parameters, message",
+        [(["calibration"], {}, r"kind must be a string, got \['calibration'\]"),
+         ("calibration", [("n", 8)], r"parameters must be a mapping, got \[\('n', 8\)\]"),
+         ("overflow-curve", {"pair_file": 0}, "pair_file must be a string, got 0")],
+    )
+    def test_direct_specs_validated(self, kind, parameters, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentSpec(kind, parameters, 0, 1, "")
+
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             ExperimentSpec("calibration", {}, 0, 0, "out.csv")
