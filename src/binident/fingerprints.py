@@ -219,8 +219,11 @@ def moment_vector(d: Distribution, s: int) -> MomentVector:
 
 @dataclass(frozen=True)
 class IndistinguishabilityResult:
-    indistinguishable: bool
     tv_gap: Fraction
+
+    @property
+    def indistinguishable(self) -> bool:
+        return self.tv_gap == 0
 
 
 def fingerprints_indistinguishable(
@@ -234,4 +237,4 @@ def fingerprints_indistinguishable(
     v1 = moment_vector(d1, s)
     v2 = moment_vector(d2, s)
     gap = sum(abs(a - b) for (_, a), (_, b) in zip(v1.entries, v2.entries)) / 2
-    return IndistinguishabilityResult(v1.entries == v2.entries, gap)
+    return IndistinguishabilityResult(gap)

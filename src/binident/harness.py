@@ -78,7 +78,7 @@ def _rational(value: Any, field: str) -> Fraction:
 def distribution_from_json(data: Mapping[str, Any], exact: bool = False) -> Distribution:
     if not isinstance(data, Mapping) or "n" not in data or "pmf" not in data:
         raise ValueError('distribution JSON must carry "n" and "pmf"')
-    n = data["n"]
+    n = _integer(data["n"], "n")
     pmf = data["pmf"]
     if not isinstance(pmf, list) or len(pmf) != n:
         raise ValueError(f'"pmf" must be a list of length n = {n}')
@@ -168,6 +168,8 @@ class ExperimentSpec:
     output_path: str
 
     def __post_init__(self):
+        _integer(self.master_seed, "master_seed")
+        _integer(self.trials, "trials")
         if _string(self.kind, "kind") not in _RUNNERS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if not isinstance(self.parameters, Mapping):
@@ -210,15 +212,20 @@ def _required_list(params: Mapping[str, Any], key: str) -> list:
     value = _required(params, key)
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{key} must be a list, got {value!r}")
+    if not value:
+        raise ValueError(f"{key} must not be empty")
     return value
 
 
 def _resolve_distribution(params: Mapping[str, Any], key: str) -> Distribution:
-    if key in params:
-        return distribution_from_json(params[key], exact=False)
     file_key = f"{key}_file"
-    if file_key in params:
-        return load_distribution(params[file_key])
+    try:
+        if key in params:
+            return distribution_from_json(params[key], exact=False)
+        if file_key in params:
+            return load_distribution(params[file_key])
+    except ValueError as exc:
+        raise ValueError(f"{key if key in params else file_key}: {exc}") from exc
     raise ValueError(f'parameters need "{key}" (inline JSON) or "{file_key}" (path)')
 
 
@@ -353,8 +360,8 @@ def experiment_spec_from_json(data: Mapping[str, Any]) -> ExperimentSpec:
     return ExperimentSpec(
         kind=data["kind"],
         parameters=data.get("parameters", {}),
-        master_seed=_integer(data.get("master_seed", 0), "master_seed"),
-        trials=_integer(data.get("trials", 1), "trials"),
+        master_seed=data.get("master_seed", 0),
+        trials=data.get("trials", 1),
         output_path=data.get("output_path", ""),
     )
 

@@ -30,7 +30,6 @@ from .binning import coarsening_distance
 from .fingerprints import check_moment_budget, compositions, moment_vector, raw_moment_sums
 
 _ALPHABET = {"2", "3"}
-_SYMBOLS = str.maketrans("01", "23")
 DEFAULT_RHO = Fraction(99, 100)  # rho in the ceil(rho * b)-partial shift test
 
 
@@ -67,20 +66,24 @@ class MassString:
         return MassString(self.symbols[o:] + self.symbols[:o])
 
 
-def _balanced_codes(b: int) -> np.ndarray:
-    """All C(b, b/2) balanced strings of length b as increasing b-bit codes.
+def _balanced_digits(b: int) -> np.ndarray:
+    """All C(b, b/2) balanced strings of length b as int8 rows of 2s and 3s.
 
-    Bit 1 stands for "3" and the first symbol is the top bit, so increasing
-    codes list the strings in lexicographic order ("2" < "3").
+    Lexicographic order ("2" < "3") is built in: the strings with a twos and
+    t threes are a 2 before those with one 2 fewer, then a 3 before those
+    with one 3 fewer.
     """
     if b < 2 or b % 2 != 0:
         raise ValueError("b must be a positive even integer")
     _check_string_budget(b)
-    codes = np.arange(1 << b, dtype=np.int64)
-    ones = np.zeros(len(codes), dtype=np.uint8)
-    for i in range(b):
-        ones += (codes >> i & 1).astype(np.uint8)
-    return codes[ones == b // 2]
+    # rows[t] holds the strings with a twos and t threes, a and t <= b/2.
+    rows = [np.full((1, t), 3, dtype=np.int8) for t in range(b // 2 + 1)]
+    for a in range(1, b // 2 + 1):
+        rows[0] = np.full((1, a), 2, dtype=np.int8)
+        for t in range(1, len(rows)):
+            twos, threes = np.insert(rows[t], 0, 2, axis=1), np.insert(rows[t - 1], 0, 3, axis=1)
+            rows[t] = np.vstack([twos, threes])
+    return rows[-1]
 
 
 def _check_string_budget(b: int) -> None:
@@ -88,14 +91,13 @@ def _check_string_budget(b: int) -> None:
     budgets.check("hard_pair_strings", math.comb(b, b // 2), "strings")
 
 
-def _decode(code: int, b: int) -> MassString:
-    return MassString(format(code, f"0{b}b").translate(_SYMBOLS))
+def _mass_string(row: np.ndarray) -> MassString:
+    return MassString((row + ord("0")).tobytes().decode())
 
 
 def balanced_strings(b: int) -> Iterator[MassString]:
     """All C(b, b/2) balanced strings of length b, in lexicographic order."""
-    for code in _balanced_codes(b).tolist():
-        yield _decode(code, b)
+    yield from map(_mass_string, _balanced_digits(b))
 
 
 def _lcs_with_pairs(a: str, c: str) -> list[tuple[int, int]]:
@@ -189,10 +191,7 @@ def find_hard_pair(
     # HardInstancePair.build checks the same table for any pair found.
     check_moment_budget(b, m)
     comps = list(compositions(m))
-    codes = _balanced_codes(b)
-    digits = np.empty((len(codes), b), dtype=np.int8)
-    for i in range(b):
-        digits[:, i] = 2 + (codes >> (b - 1 - i) & 1)
+    digits = _balanced_digits(b)
     # Equal keys mean equal moment vectors: the multinomial factor and the
     # 2/(5b) scaling are the same for every string.
     keys = raw_moment_sums(digits, comps)
@@ -207,10 +206,10 @@ def find_hard_pair(
         bucket = buckets[row]
         if len(bucket) == 1:
             continue
-        x = _decode(int(codes[i]), b)
+        x = _mass_string(digits[i])
         for j in bucket:
             if j > i:
-                y = _decode(int(codes[j]), b)
+                y = _mass_string(digits[j])
                 if not is_partial_cyclic_shift(x, y, r).is_shift:
                     return x, y
     return None

@@ -333,6 +333,31 @@ class TestExperimentCommand:
         assert run_spec(tmp_path, capsys, spec) == (2, f"binident: error: {message}\n")
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [(spec_with("calibration", p={"n": "abc", "pmf": ["1"]}),
+          "p: n must be an integer, got 'abc'"),
+         (spec_with("calibration", p={"n": 2.0, "pmf": ["1/2", "1/2"]}),
+          "p: n must be an integer, got 2.0"),
+         (spec_with("calibration", p=[1]), 'p: distribution JSON must carry "n" and "pmf"'),
+         (spec_with("test-curve", q={"n": 1, "pmf": ["x"]}),
+          "q: entry 1: not a rational string: 'x'"),
+         (spec_with("test-curve", epsilons=[]), "epsilons must not be empty"),
+         (spec_with("overflow-curve", s_grid=[]), "s_grid must not be empty")],
+    )
+    def test_inline_distributions_and_empty_lists_name_their_field(
+        self, tmp_path, capsys, spec, message
+    ):
+        assert run_spec(tmp_path, capsys, spec) == (2, f"binident: error: {message}\n")
+
+    def test_distribution_file_errors_name_the_file_field(self, tmp_path, capsys):
+        p_path = tmp_path / "p.json"
+        p_path.write_text(json.dumps({"n": 1.5, "pmf": ["1"]}))
+        spec = spec_with("calibration", p_file=str(p_path))
+        assert run_spec(tmp_path, capsys, spec) == (
+            2, "binident: error: p_file: n must be an integer, got 1.5\n"
+        )
+
+    @pytest.mark.parametrize(
         "params, message",
         [({"n": 10**9}, "binning_cells: 2000000002 DP cells exceeds budget"),
          ({"n": 0, "k": 1}, "n must be at least 1, got 0"),

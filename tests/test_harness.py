@@ -166,6 +166,14 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
             experiment_spec_from_json({"kind": "hard-pair-search", key: value})
 
+    @pytest.mark.parametrize("value", [1.7, True, "3"])
+    @pytest.mark.parametrize("key", ["master_seed", "trials"])
+    def test_direct_integer_fields_are_strict(self, key, value):
+        fields = {"master_seed": 0, "trials": 1, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {value!r}"):
+            ExperimentSpec("calibration", {"n": 8, "k": 2, "epsilon": "1/2"}, output_path="",
+                           **fields)
+
     @pytest.mark.parametrize("value", [1, None])
     def test_output_path_must_be_a_string(self, value):
         # An int would be opened as a file descriptor and closed after writing.

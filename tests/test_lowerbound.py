@@ -58,6 +58,12 @@ class TestBalancedStrings:
         assert len(strings) == math.comb(12, 6) == 924
         assert strings == sorted(strings)
 
+    def test_matches_product_oracle(self):
+        for b in range(2, 15, 2):
+            words = ("".join(w) for w in product("23", repeat=b))
+            oracle = sorted(w for w in words if w.count("2") == w.count("3"))
+            assert [s.symbols for s in balanced_strings(b)] == oracle
+
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError, match="strings"):
             list(balanced_strings(22))
