@@ -3,9 +3,11 @@
 The central operation takes a distribution over [n] and a reference over
 [k] and minimizes the summed bin discrepancy sum_j |p(I_j) - q(j)| over all
 partitions of [n] into k consecutive, possibly empty intervals, optionally
-requiring a nonempty interval for every positive-mass bin.  A suffix DP
-over integer-scaled prefix masses gives the exact minimum in O(n k log n)
-array work; enumeration oracles are kept alongside for small-size checks.
+requiring a nonempty interval for every positive-mass bin: the tester sets
+this flag, and the lower bound's `coarsening_distance` leaves it off.  A
+suffix DP over integer-scaled prefix masses gives the exact minimum in
+O(n k log n) array work; enumeration oracles are kept alongside for
+small-size checks.
 
 Bin j starting after element i with target T = pre[i] + q_j pays
 |pre[x] - T| + tail[x] for a next bound x, tail being the next DP row.

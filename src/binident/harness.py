@@ -113,6 +113,7 @@ def partition_from_json(data: Any) -> IntervalPartition:
 
 
 def hard_pair_to_json(pair: HardInstancePair) -> dict:
+    """The six scalars that fix a pair; the loader rebuilds the rest."""
     return {
         "m": pair.m,
         "b": pair.b,
@@ -120,22 +121,20 @@ def hard_pair_to_json(pair: HardInstancePair) -> dict:
         "k_prime": pair.k_prime,
         "x": pair.x.symbols,
         "y": pair.y.symbols,
-        "p_base": distribution_to_json(pair.p_base),
-        "q_base": distribution_to_json(pair.q_base),
-        "p_big": distribution_to_json(pair.p_big),
-        "q_big": distribution_to_json(pair.q_big),
     }
 
 
 def hard_pair_from_json(data: Mapping[str, Any]) -> HardInstancePair:
+    """Rebuild and re-verify a pair; distributions that older files carry
+    must equal the rebuilt ones."""
     for key in ("m", "rho", "k_prime", "x", "y"):
         if not isinstance(data, Mapping) or key not in data:
             raise ValueError(f'hard pair JSON must carry "{key}"')
+    x, y = (MassString(_string(data[key], key)) for key in ("x", "y"))
+    if "b" in data and _integer(data["b"], "b") != x.b:
+        raise ValueError(f"b must equal len(x) = {x.b}, got {data['b']!r}")
     pair = HardInstancePair.build(
-        MassString(data["x"]),
-        MassString(data["y"]),
-        _integer(data["m"], "m"),
-        as_fraction(data["rho"]),
+        x, y, _integer(data["m"], "m"), as_fraction(data["rho"]),
         _integer(data["k_prime"], "k_prime"),
     )
     for key in ("p_base", "q_base", "p_big", "q_big"):
@@ -224,7 +223,7 @@ def _resolve_distribution(params: Mapping[str, Any], key: str) -> Distribution:
             return distribution_from_json(params[key], exact=False)
         if file_key in params:
             return load_distribution(params[file_key])
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"{key if key in params else file_key}: {exc}") from exc
     raise ValueError(f'parameters need "{key}" (inline JSON) or "{file_key}" (path)')
 
@@ -297,7 +296,10 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
     params = spec.parameters
     s_grid = [_integer(s, f"s_grid[{i}]") for i, s in enumerate(_required_list(params, "s_grid"))]
     if "pair_file" in params:
-        pair = load_hard_pair(params["pair_file"])
+        try:
+            pair = load_hard_pair(params["pair_file"])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"pair_file: {exc}") from exc
     else:
         m = _required_integer(params, "m")
         b = _required_integer(params, "b")

@@ -5,7 +5,7 @@ The ingredients, all exact:
 * balanced mass strings over the alphabet {2, 3}, mapped to distributions
   whose masses are 4/(5b) and 6/(5b);
 * a cyclic-LCS test deciding whether two strings are r-partial cyclic
-  shifts of each other;
+  shifts of each other, from bit-parallel LCS lengths;
 * a pigeonhole search for pairs of such distributions that share every
   s-draw fingerprint probability up to s = m yet are not shifts;
 * a block blow-up spreading a base pair uniformly over k' blocks, the
@@ -100,44 +100,12 @@ def balanced_strings(b: int) -> Iterator[MassString]:
     yield from map(_mass_string, _balanced_digits(b))
 
 
-def _lcs_with_pairs(a: str, c: str) -> list[tuple[int, int]]:
-    # Standard quadratic LCS with a deterministic backtrack: prefer the
-    # diagonal on a match, otherwise drop the a-index first.
-    la, lc = len(a), len(c)
-    table = [[0] * (lc + 1) for _ in range(la + 1)]
-    for i in range(la - 1, -1, -1):
-        row, nxt = table[i], table[i + 1]
-        ai = a[i]
-        for j in range(lc - 1, -1, -1):
-            if ai == c[j]:
-                row[j] = nxt[j + 1] + 1
-            else:
-                row[j] = nxt[j] if nxt[j] >= row[j + 1] else row[j + 1]
-    pairs = []
-    i = j = 0
-    while i < la and j < lc:
-        if a[i] == c[j] and table[i][j] == table[i + 1][j + 1] + 1:
-            pairs.append((i, j))
-            i += 1
-            j += 1
-        elif table[i + 1][j] >= table[i][j + 1]:
-            i += 1
-        else:
-            j += 1
-    return pairs
-
-
 @dataclass(frozen=True)
 class CyclicShiftResult:
-    """Outcome of an r-partial cyclic shift test, with a witness when found.
-
-    `matches` pairs 0-based indices (i in x, j in y) with x[i] == y[j]; the
-    matched y-positions are increasing once unrotated by `rotation`.
-    """
+    """Outcome of an r-partial cyclic shift test: the first rotation found."""
 
     is_shift: bool
     rotation: int | None = None
-    matches: tuple[tuple[int, int], ...] | None = None
 
 
 def shift_threshold(rho: Fraction, b: int) -> int:
@@ -148,8 +116,11 @@ def shift_threshold(rho: Fraction, b: int) -> int:
 def is_partial_cyclic_shift(x: MassString, y: MassString, r: int) -> CyclicShiftResult:
     """True iff some rotation of y shares a common subsequence of length >= r with x.
 
-    Scans the b rotations in offset order and returns the first witness;
-    O(b^3) overall.
+    Scans the b rotations in offset order and returns the first one found.
+    Each rotation's LCS length comes from the bit-parallel recurrence of
+    Allison and Dix (IPL 1986): the cleared bits of v mark the prefixes of x
+    at which the LCS with the symbols read so far grows, so the LCS is their
+    count.
     """
     if x.b != y.b:
         raise ValueError(f"lengths differ: {x.b} vs {y.b}")
@@ -157,13 +128,17 @@ def is_partial_cyclic_shift(x: MassString, y: MassString, r: int) -> CyclicShift
     if r > b:
         raise ValueError(f"r = {r} exceeds string length {b}")
     if r <= 0:
-        return CyclicShiftResult(True, 0, ())
+        return CyclicShiftResult(True, 0)
+    mask = (1 << b) - 1
+    match = {c: sum(1 << i for i, a in enumerate(x.symbols) if a == c) for c in _ALPHABET}
+    doubled = y.symbols * 2
     for offset in range(b):
-        rotated = y.rotated(offset)
-        pairs = _lcs_with_pairs(x.symbols, rotated.symbols)
-        if len(pairs) >= r:
-            matches = tuple((i, (j + offset) % b) for i, j in pairs)
-            return CyclicShiftResult(True, offset, matches)
+        v = mask
+        for ch in doubled[offset:offset + b]:
+            u = v & match[ch]
+            v = ((v + u) | (v - u)) & mask
+        if b - v.bit_count() >= r:
+            return CyclicShiftResult(True, offset)
     return CyclicShiftResult(False)
 
 
@@ -260,7 +235,7 @@ class HardInstancePair:
         equal fingerprint distributions at every s <= m, failure of the
         ceil(rho*b)-partial cyclic shift test, and the block structure of
         the blow-up.  Strings longer than `find_hard_pair` admits at the
-        same budget are refused first, since the shift test costs O(b^3).
+        same budget are refused first, by the same string guard.
         """
         rho_f = _check_pair_parameters(m, rho)
         if x.b != y.b:

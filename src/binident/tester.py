@@ -6,6 +6,9 @@ the nonemptiness rule on, and accepts when the minimum is at most
 eps * ACCEPT_FRACTION = eps/4.  When more reference bins carry positive mass
 than the domain has elements, no distribution admits the binning at all and
 the test rejects outright.
+
+So the tester decides the flag-on property.  The lower-bound lab measures
+the flag-off `coarsening_distance`, which zero-mass insertions never move.
 """
 
 from __future__ import annotations

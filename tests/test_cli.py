@@ -200,8 +200,8 @@ class TestHardInstanceCommands:
 
     @pytest.mark.parametrize("command", ["verify-claim", "experiment"])
     def test_long_pair_file_exit_two(self, tmp_path, capsys, command):
-        # m = 1 matches every pair, so only the string guard stands between
-        # a b = 40 file and the O(b^3) shift test.
+        # m = 1 matches every pair, so only the string guard refuses a
+        # b = 40 file; it does so before the moment tables and the shift test.
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps({
             "m": 1, "b": 40, "rho": "99/100", "k_prime": 2,
@@ -356,6 +356,32 @@ class TestExperimentCommand:
         assert run_spec(tmp_path, capsys, spec) == (
             2, "binident: error: p_file: n must be an integer, got 1.5\n"
         )
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [("test-curve", "p_file"), ("test-curve", "q_file"),
+         ("calibration", "p_file"), ("overflow-curve", "pair_file")],
+    )
+    def test_missing_files_name_their_field(self, tmp_path, capsys, monkeypatch, kind, field):
+        monkeypatch.chdir(tmp_path)
+        spec = spec_with(kind, **{field: "nonexist.json"})
+        spec["parameters"].pop(field.removesuffix("_file"), None)
+        assert run_spec(tmp_path, capsys, spec) == (
+            2, f"binident: error: {field}: [Errno 2] No such file or directory: 'nonexist.json'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"m": None}, 'hard pair JSON must carry "m"'),
+         ({"x": 2233}, "x must be a string, got 2233"),
+         ({"b": 99}, "b must equal len(x) = 4, got 99")],
+    )
+    def test_pair_file_errors_name_the_field(self, tmp_path, capsys, change, message):
+        data = {"m": 1, "b": 4, "rho": "1", "k_prime": 2, "x": "2233", "y": "2323", **change}
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({k: v for k, v in data.items() if v is not None}))
+        spec = spec_with("overflow-curve", pair_file=str(pair))
+        assert run_spec(tmp_path, capsys, spec) == (2, f"binident: error: pair_file: {message}\n")
 
     @pytest.mark.parametrize(
         "params, message",

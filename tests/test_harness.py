@@ -87,6 +87,16 @@ class TestPartitionSerialization:
             partition_from_json({"bounds": [0, 1]})
 
 
+# A pair file as written before pair files dropped the four distributions.
+OLDER_PAIR_FILE = {
+    "m": 1, "b": 4, "rho": "1", "k_prime": 2, "x": "2233", "y": "2323",
+    "p_base": {"n": 4, "pmf": ["1/5", "1/5", "3/10", "3/10"]},
+    "q_base": {"n": 4, "pmf": ["1/5", "3/10", "1/5", "3/10"]},
+    "p_big": {"n": 8, "pmf": ["1/10", "1/10", "3/20", "3/20", "1/10", "1/10", "3/20", "3/20"]},
+    "q_big": {"n": 8, "pmf": ["1/10", "3/20", "1/10", "3/20", "1/10", "3/20", "1/10", "3/20"]},
+}
+
+
 class TestHardPairSerialization:
     def test_round_trip(self, tmp_path):
         pair = make_hard_instance(3, 12, 1, 2)
@@ -94,6 +104,45 @@ class TestHardPairSerialization:
         store_hard_pair(pair, str(path))
         loaded = load_hard_pair(str(path))
         assert loaded == pair
+
+    def test_file_holds_six_scalars(self, tmp_path):
+        path = tmp_path / "pair.json"
+        store_hard_pair(make_hard_instance(3, 12, 1, 2), str(path))
+        assert json.loads(path.read_text()) == {
+            "m": 3, "b": 12, "rho": "1", "k_prime": 2,
+            "x": "222223323333", "y": "222232233333",
+        }
+
+    def test_older_file_loads_and_is_checked(self):
+        assert hard_pair_from_json(OLDER_PAIR_FILE) == make_hard_instance(1, 4, 1, 2)
+        tampered = {**OLDER_PAIR_FILE, "q_big": OLDER_PAIR_FILE["p_big"]}
+        with pytest.raises(ValueError, match="stored q_big disagrees"):
+            hard_pair_from_json(tampered)
+
+    @pytest.mark.parametrize("key", ["x", "y"])
+    @pytest.mark.parametrize("value", [2233, None, ["2233"]])
+    def test_strings_must_be_strings(self, key, value):
+        data = {**hard_pair_to_json(make_hard_instance(1, 4, 1, 2)), key: value}
+        with pytest.raises(ValueError) as exc:
+            hard_pair_from_json(data)
+        assert str(exc.value) == f"{key} must be a string, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(99, "b must equal len(x) = 4, got 99"), (6, "b must equal len(x) = 4, got 6"),
+         ("junk", "b must be an integer, got 'junk'"), (4.0, "b must be an integer, got 4.0"),
+         (True, "b must be an integer, got True")],
+    )
+    def test_b_must_be_the_length_of_x(self, value, message):
+        data = {**hard_pair_to_json(make_hard_instance(1, 4, 1, 2)), "b": value}
+        with pytest.raises(ValueError) as exc:
+            hard_pair_from_json(data)
+        assert str(exc.value) == message
+
+    def test_b_may_be_left_out(self):
+        data = hard_pair_to_json(make_hard_instance(1, 4, 1, 2))
+        del data["b"]
+        assert hard_pair_from_json(data) == make_hard_instance(1, 4, 1, 2)
 
     @pytest.mark.parametrize("m", [0, -3])
     def test_nonpositive_m_rejected(self, tmp_path, m):

@@ -73,12 +73,44 @@ class TestBalancedStrings:
             list(balanced_strings(5))
 
 
+def lcs_with_pairs(a: str, c: str) -> list[tuple[int, int]]:
+    """Oracle: quadratic LCS table with a deterministic backtrack that
+    prefers the diagonal on a match, otherwise drops the a-index first."""
+    la, lc = len(a), len(c)
+    table = [[0] * (lc + 1) for _ in range(la + 1)]
+    for i in range(la - 1, -1, -1):
+        row, nxt = table[i], table[i + 1]
+        for j in range(lc - 1, -1, -1):
+            if a[i] == c[j]:
+                row[j] = nxt[j + 1] + 1
+            else:
+                row[j] = max(nxt[j], row[j + 1])
+    pairs = []
+    i = j = 0
+    while i < la and j < lc:
+        if a[i] == c[j] and table[i][j] == table[i + 1][j + 1] + 1:
+            pairs.append((i, j))
+            i += 1
+            j += 1
+        elif table[i + 1][j] >= table[i][j + 1]:
+            i += 1
+        else:
+            j += 1
+    return pairs
+
+
+def witness(x: MassString, y: MassString, rotation: int) -> list[tuple[int, int]]:
+    """The oracle's matched (i in x, j in y) pairs at the given rotation of y."""
+    pairs = lcs_with_pairs(x.symbols, y.rotated(rotation).symbols)
+    return [(i, (j + rotation) % y.b) for i, j in pairs]
+
+
 class TestPartialCyclicShift:
     def test_identity_full_shift(self):
         x = MassString("232323")
         result = is_partial_cyclic_shift(x, x, 6)
         assert result.is_shift and result.rotation == 0
-        assert len(result.matches) == 6
+        assert len(witness(x, x, result.rotation)) == 6
 
     def test_rotation_detected(self):
         result = is_partial_cyclic_shift(MassString("2233"), MassString("3322"), 4)
@@ -95,10 +127,11 @@ class TestPartialCyclicShift:
         y = MassString("232233")
         result = is_partial_cyclic_shift(x, y, 5)
         assert result.is_shift
-        assert len(result.matches) >= 5
-        xs = [i for i, _ in result.matches]
+        matches = witness(x, y, result.rotation)
+        assert len(matches) >= 5
+        xs = [i for i, _ in matches]
         assert xs == sorted(xs)
-        for i, j in result.matches:
+        for i, j in matches:
             assert x.symbols[i] == y.symbols[j]
 
     def test_full_shift_symmetric(self):
@@ -124,6 +157,26 @@ class TestPartialCyclicShift:
         x = MassString("2233")
         with pytest.raises(ValueError, match="exceeds"):
             is_partial_cyclic_shift(x, x, 5)
+
+
+# Pairs of balanced strings of one length b <= 40.
+balanced_pairs = st.integers(1, 20).flatmap(
+    lambda h: st.tuples(*[st.permutations("23" * h).map("".join)] * 2)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(pair=balanced_pairs)
+@example(pair=("22222222233233333333", "22222222322333333333"))  # golden (3, 20)
+@example(pair=("2" * 20 + "3" * 20, "23" * 20))
+def test_shift_test_matches_lcs_oracle(pair):
+    # For every r in 0..b: the first rotation whose oracle LCS reaches r.
+    x, y = map(MassString, pair)
+    lengths = [len(lcs_with_pairs(x.symbols, y.rotated(o).symbols)) for o in range(x.b)]
+    for r in range(x.b + 1):
+        first = next((o for o, n in enumerate(lengths) if n >= r), None)
+        result = is_partial_cyclic_shift(x, y, r)
+        assert (result.is_shift, result.rotation) == (first is not None, first)
 
 
 class TestFindHardPair:

@@ -22,12 +22,14 @@ from binident import (
     block_construct,
     brute_force_ak_distance,
     brute_force_min_discrepancy,
+    coarsening_distance,
     compositions,
     empirical,
     fingerprint_of,
     greedy_repair,
     min_binned_discrepancy,
     moment_exhaustive,
+    moment_vector,
     partition_discrepancy,
     sample,
     total_variation,
@@ -369,3 +371,55 @@ def test_distribution_json_round_trip(masses):
         as_numbers = json.loads(json.dumps({"n": d.n, "pmf": [float(v) for v in d.pmf]}))
         assert distribution_from_json(as_numbers) == d
 
+
+
+# Order-preserving embeddings insert zero-mass elements.  The lower bound
+# measures the flag-off distance, which no embedding moves; the tester's
+# flag-on delta can only fall under one, down to the flag-off value.
+def with_zeros(p: Distribution, positions) -> Distribution:
+    """p with a zero-mass element inserted before element i + 1 for each i."""
+    masses = list(p.pmf)
+    for i in sorted(positions, reverse=True):
+        masses.insert(i, Fraction(0))
+    return Distribution(masses)
+
+
+def embeddings(max_n: int = 8, max_k: int = 5):
+    """(p, q, p with 1-4 zero-mass elements inserted)."""
+    return st.tuples(distributions(max_n), distributions(max_k)).flatmap(
+        lambda pq: st.tuples(
+            st.just(pq[0]), st.just(pq[1]),
+            st.lists(st.integers(0, pq[0].n), min_size=1, max_size=4).map(
+                lambda at: with_zeros(pq[0], at)
+            ),
+        )
+    )
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=embeddings())
+def test_zero_insertion_keeps_flag_off_distance_and_moments(case):
+    p, q, embedded = case
+    assert coarsening_distance(embedded, q) == coarsening_distance(p, q)
+    for s in (1, 2, 3):
+        assert moment_vector(embedded, s) == moment_vector(p, s)
+
+
+@settings(PROPERTY, max_examples=200)
+@given(case=embeddings())
+def test_zero_insertion_never_raises_flag_on_delta(case):
+    p, q, embedded = case
+    try:
+        before = min_binned_discrepancy(p, q, True).delta
+    except InfeasibleBinningError:
+        return
+    # More elements never make the flag-on DP infeasible: this call must not raise.
+    assert min_binned_discrepancy(embedded, q, True).delta <= before
+
+
+@settings(PROPERTY, max_examples=200)
+@given(p=distributions(8), q=distributions(5))
+def test_full_zero_padding_makes_flag_on_equal_flag_off(p, q):
+    # k zeros before the first element and after every element.
+    padded = with_zeros(p, [i for i in range(p.n + 1) for _ in range(q.n)])
+    assert min_binned_discrepancy(padded, q, True).delta == coarsening_distance(p, q)
