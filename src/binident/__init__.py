@@ -13,7 +13,6 @@ from .distributions import (
     ak_distance,
     as_fraction,
     empirical,
-    kolmogorov_distance,
     sample,
     total_variation,
 )
@@ -22,12 +21,10 @@ from .binning import (
     InfeasibleBinningError,
     IntervalPartition,
     brute_force_ak_distance,
-    brute_force_min_discrepancy,
     coarsening_distance,
     enumerate_partitions,
     greedy_repair,
     min_binned_discrepancy,
-    partition_discrepancy,
 )
 from .fingerprints import (
     IndistinguishabilityResult,
@@ -37,7 +34,6 @@ from .fingerprints import (
     fingerprint_of,
     fingerprints_indistinguishable,
     moment,
-    moment_exhaustive,
     moment_vector,
 )
 from .lowerbound import (
@@ -80,19 +76,16 @@ __all__ = [
     "ak_distance",
     "as_fraction",
     "empirical",
-    "kolmogorov_distance",
     "sample",
     "total_variation",
     "BinningResult",
     "InfeasibleBinningError",
     "IntervalPartition",
     "brute_force_ak_distance",
-    "brute_force_min_discrepancy",
     "coarsening_distance",
     "enumerate_partitions",
     "greedy_repair",
     "min_binned_discrepancy",
-    "partition_discrepancy",
     "IndistinguishabilityResult",
     "MomentVector",
     "OrderedFingerprint",
@@ -100,7 +93,6 @@ __all__ = [
     "fingerprint_of",
     "fingerprints_indistinguishable",
     "moment",
-    "moment_exhaustive",
     "moment_vector",
     "CyclicShiftResult",
     "HardInstancePair",

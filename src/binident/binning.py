@@ -6,8 +6,8 @@ partitions of [n] into k consecutive, possibly empty intervals, optionally
 requiring a nonempty interval for every positive-mass bin: the tester sets
 this flag, and the lower bound's `coarsening_distance` leaves it off.  A
 suffix DP over integer-scaled prefix masses gives the exact minimum in
-O(n k log n) array work; enumeration oracles are kept alongside for
-small-size checks.
+O(n k log n) array work.  The enumeration oracles that check it live with
+the tests, except the A_k oracle below.
 
 Bin j starting after element i with target T = pre[i] + q_j pays
 |pre[x] - T| + tail[x] for a next bound x, tail being the next DP row.
@@ -77,10 +77,6 @@ class IntervalPartition:
             raise ValueError(f"domain sizes differ: {d.n} vs {self.n}")
         return tuple(d.mass(*self.interval(j)) for j in range(self.k))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntervalPartition":
-        return cls(range(n + 1))
-
 
 @dataclass(frozen=True)
 class BinningResult:
@@ -100,21 +96,6 @@ def enumerate_partitions(n: int, k: int) -> Iterator[IntervalPartition]:
     budgets.check("partition_enumeration", math.comb(n + k - 1, n), "partitions")
     for cuts in combinations_with_replacement(range(n + 1), k - 1):
         yield IntervalPartition((0, *cuts, n))
-
-
-def partition_discrepancy(
-    p: Distribution, partition: IntervalPartition, q: Distribution
-) -> Fraction:
-    """sum_j |p(I_j) - q(j)| for one fixed partition."""
-    if partition.k != q.n:
-        raise ValueError(f"partition has {partition.k} intervals, reference {q.n} bins")
-    return sum(abs(m - qj) for m, qj in zip(partition.masses(p), q.pmf))
-
-
-def _admissible(partition: IntervalPartition, q: Distribution, nonempty: bool) -> bool:
-    if not nonempty:
-        return True
-    return all(not (q.pmf[j] > 0 and partition.is_empty(j)) for j in range(q.n))
 
 
 def _window_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray, empty: int) -> np.ndarray:
@@ -195,24 +176,6 @@ def min_binned_discrepancy(
     return BinningResult(Fraction(total, scale), IntervalPartition(bounds))
 
 
-def brute_force_min_discrepancy(
-    p_hat: Distribution, q: Distribution, require_nonempty_on_support: bool
-) -> BinningResult:
-    """Enumeration oracle for min_binned_discrepancy (small n and k only)."""
-    best: BinningResult | None = None
-    for partition in enumerate_partitions(p_hat.n, q.n):
-        if not _admissible(partition, q, require_nonempty_on_support):
-            continue
-        delta = partition_discrepancy(p_hat, partition, q)
-        if best is None or delta < best.delta or (
-            delta == best.delta and partition.bounds < best.witness.bounds
-        ):
-            best = BinningResult(delta, partition)
-    if best is None:
-        raise InfeasibleBinningError("no admissible partition exists")
-    return best
-
-
 def coarsening_distance(p: Distribution, q: Distribution) -> Fraction:
     """min over nondecreasing maps [n] -> [k] of the summed bin-mass gaps.
 
@@ -222,6 +185,7 @@ def coarsening_distance(p: Distribution, q: Distribution) -> Fraction:
     return min_binned_discrepancy(p, q, require_nonempty_on_support=False).delta
 
 
+# The bench's self-tests import this oracle from binident until they carry their own.
 def brute_force_ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
     """Enumeration oracle for the interval-partition distance (small sizes)."""
     best = Fraction(0)

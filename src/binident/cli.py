@@ -131,10 +131,8 @@ def _cmd_verify_claim(args) -> int:
 
 def _cmd_overflow(args) -> int:
     value = lowerbound.block_overflow_probability(args.k, args.s, args.m)
-    _emit(
-        {"k_prime": args.k, "s": args.s, "m": args.m, "probability": str(value)},
-        args.format,
-    )
+    probability = harness.exact_string(value)
+    _emit({"k_prime": args.k, "s": args.s, "m": args.m, "probability": probability}, args.format)
     return 0
 
 

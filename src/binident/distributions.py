@@ -144,9 +144,6 @@ class Distribution:
         """Mass of the interval (lo, hi], 0 <= lo <= hi <= n."""
         return self.prefix[hi] - self.prefix[lo]
 
-    def reversed(self) -> "Distribution":
-        return Distribution(self.pmf[::-1])
-
     def __repr__(self) -> str:
         body = ", ".join(str(v) for v in self.pmf)
         return f"Distribution([{body}])"
@@ -343,9 +340,3 @@ def ak_distance(d1: Distribution, d2: Distribution, ell: int) -> Fraction:
             np.maximum.accumulate(best - diffs) + diffs,
         )
     return Fraction(int(best[n]), scale)
-
-
-def kolmogorov_distance(d1: Distribution, d2: Distribution) -> Fraction:
-    """Max absolute difference of the cumulative distribution functions."""
-    _require_same_domain(d1, d2)
-    return max(abs(a - b) for a, b in zip(d1.prefix, d2.prefix))

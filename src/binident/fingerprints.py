@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -51,10 +50,6 @@ class OrderedFingerprint:
     def key(self) -> str:
         """Serialization key, e.g. "2+1+1"."""
         return "+".join(str(v) for v in self.counts)
-
-    @classmethod
-    def from_key(cls, key: str) -> "OrderedFingerprint":
-        return cls(int(part) for part in key.split("+"))
 
 
 def fingerprint_of(samples: SampleSet) -> OrderedFingerprint:
@@ -164,23 +159,6 @@ def moment(d: Distribution, fingerprint: OrderedFingerprint | Iterable[int]) -> 
     f = _as_fingerprint(fingerprint)
     budgets.check("moment_terms", (d.n + 1) * f.t, "DP cells")
     return _moments(d, [f.counts])[0]
-
-
-def moment_exhaustive(
-    d: Distribution, fingerprint: OrderedFingerprint | Iterable[int]
-) -> Fraction:
-    """Literal summation over all C(n, t) index tuples; oracle for `moment`."""
-    f = _as_fingerprint(fingerprint)
-    budgets.check(
-        "moment_literal_terms", math.comb(d.n, f.t) * max(f.t, 1), "summation steps"
-    )
-    total = Fraction(0)
-    for idx in combinations(range(d.n), f.t):
-        term = Fraction(1)
-        for i, power in zip(idx, f.counts):
-            term *= d.pmf[i] ** power
-        total += term
-    return multinomial(f.s, f.counts) * total
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Mapping
 
 from . import budgets
-from .binning import IntervalPartition
 from .distributions import Distribution, as_fraction, trial_seeds
 from .lowerbound import (
     DEFAULT_RHO,
@@ -86,6 +86,12 @@ def distribution_from_json(data: Mapping[str, Any], exact: bool = False) -> Dist
     return Distribution(masses)
 
 
+def exact_string(value: Fraction) -> str:
+    """str(value), also past the 4300-digit cap of int-to-str, which Decimal skips."""
+    num, den = (str(Decimal(v)) for v in value.as_integer_ratio())
+    return num if den == "1" else f"{num}/{den}"
+
+
 def distribution_to_json(d: Distribution) -> dict:
     return {"n": d.n, "pmf": [str(v) for v in d.pmf]}
 
@@ -100,16 +106,6 @@ def store_distribution(d: Distribution, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(distribution_to_json(d), fh)
         fh.write("\n")
-
-
-def partition_to_json(partition: IntervalPartition) -> list[int]:
-    return list(partition.bounds)
-
-
-def partition_from_json(data: Any) -> IntervalPartition:
-    if not isinstance(data, list):
-        raise ValueError("partition JSON must be an integer array of bounds")
-    return IntervalPartition(data)
 
 
 def hard_pair_to_json(pair: HardInstancePair) -> dict:
@@ -312,9 +308,11 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
         "s", "trial", "seed", "overflow", "exact_probability",
     )
     lead = {"m": pair.m, "b": pair.b, "k_prime": pair.k_prime}
+    # Admitted cells can have exact probabilities past str()'s 4300 digits.
+    exact = {r["s"]: exact_string(r["exact_probability"]) for r in curve}
     rows = []
     for r in curve:
-        size = {**lead, "s": r["s"], "exact_probability": r["exact_probability"]}
+        size = {**lead, "s": r["s"], "exact_probability": exact[r["s"]]}
         trials = (
             {"trial": t, "seed": seed, "overflow": int(overflow)}
             for t, (seed, overflow) in enumerate(zip(seeds, r["outcomes"]))
@@ -322,7 +320,7 @@ def _run_overflow_curve(spec: ExperimentSpec) -> ExperimentResult:
         rows += _table(spec, columns, size, trials)
     summary = {
         "overflow_fraction": {str(r["s"]): str(r["overflow_fraction"]) for r in curve},
-        "exact_probability": {str(r["s"]): str(r["exact_probability"]) for r in curve},
+        "exact_probability": {str(s): value for s, value in exact.items()},
     }
     return ExperimentResult(columns, tuple(rows), summary)
 

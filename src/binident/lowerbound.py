@@ -289,11 +289,10 @@ def block_overflow_probability(k_prime: int, s: int, m: int) -> Fraction:
         raise ValueError("s and m must be nonnegative")
     if s <= m:
         return Fraction(0)
-    # The former k'-block DP's transition count still bounds the recurrence:
-    # at most s*m steps on integers of at most s*log2(k') bits.
-    budgets.check(
-        "overflow_transitions", k_prime * (s + 1) * (min(m, s) + 1), "transitions"
-    )
+    # s*max(min(m, s), 1) steps (s even at m = 0), each on integers of at
+    # most s*log2(k') bits: the charge counts their 128-bit words.
+    words = s * (k_prime - 1).bit_length() // 128 + 1
+    budgets.check("overflow_transitions", max(min(m, s), 1) * s * words, "word operations")
     ways = [1]
     for r in range(1, s + 1):
         js = range(1, min(m, r) + 1)

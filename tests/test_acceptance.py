@@ -19,7 +19,6 @@ from binident import (
     bin_identity_test,
     block_overflow_probability,
     brute_force_ak_distance,
-    brute_force_min_discrepancy,
     coarsening_distance,
     compositions,
     empirical,
@@ -28,14 +27,13 @@ from binident import (
     fingerprints_indistinguishable,
     is_partial_cyclic_shift,
     min_binned_discrepancy,
-    moment_exhaustive,
     moment_vector,
-    partition_discrepancy,
     sample,
     sample_size_curve,
     verify_distance_claim,
 )
 from conftest import random_distribution
+from oracles import brute_force_min_discrepancy, moment_exhaustive, partition_discrepancy
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -11,15 +11,14 @@ from binident import (
     Distribution,
     InfeasibleBinningError,
     IntervalPartition,
-    brute_force_min_discrepancy,
     coarsening_distance,
     enumerate_partitions,
     greedy_repair,
     min_binned_discrepancy,
-    partition_discrepancy,
     total_variation,
 )
 from conftest import random_distribution, random_full_support
+from oracles import brute_force_min_discrepancy, identity_partition, partition_discrepancy
 
 
 class TestIntervalPartition:
@@ -42,7 +41,7 @@ class TestIntervalPartition:
         )
 
     def test_identity(self):
-        assert IntervalPartition.identity(3).bounds == (0, 1, 2, 3)
+        assert identity_partition(3).bounds == (0, 1, 2, 3)
 
 
 class TestEnumeration:
@@ -80,7 +79,7 @@ class TestMinBinnedDiscrepancy:
             d = random_full_support(rng, rng.randint(1, 7))
             result = min_binned_discrepancy(d, d, True)
             assert result.delta == 0
-            assert result.witness == IntervalPartition.identity(d.n)
+            assert result.witness == identity_partition(d.n)
 
     def test_single_element_against_two_bins(self):
         p = Distribution(["1"])

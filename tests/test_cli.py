@@ -3,6 +3,7 @@
 import json
 import math
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ import pytest
 from binident import harness
 from binident.cli import build_parser, main
 from binident.harness import load_hard_pair, store_distribution
-from binident import Distribution
+from binident import Distribution, block_overflow_probability
 from binident.tester import DEFAULT_LEARN_CONSTANT
 from test_harness import RUNNER_PARAMETERS
 
@@ -167,6 +168,13 @@ class TestFingerprintCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["moments"] == {"1+1": "1/2", "2": "1/2"}
 
+    def test_moments_csv(self, tmp_path, capsys):
+        path = tmp_path / "d3.json"
+        store_distribution(Distribution(["1/2", "1/3", "1/6"]), str(path))
+        rc = main(["moments", "--d", str(path), "--s", "2", "--format", "csv"])
+        assert rc == 0
+        assert capsys.readouterr().out == "composition,probability\n1+1,11/18\n2,7/18\n"
+
 
 class TestHardInstanceCommands:
     def test_gen_hard_then_verify(self, tmp_path, capsys):
@@ -246,9 +254,30 @@ class TestHardInstanceCommands:
         assert payload["probability"] == "145251363454963/390625000000000"
 
     def test_overflow_refused_by_the_transition_guard(self, capsys):
-        assert main(["overflow", "--k", "10000", "--s", "2000", "--m", "3"]) == 2
-        err = capsys.readouterr().err
-        assert "overflow_transitions: 80040000 transitions exceeds budget 2000000" in err
+        # The guard charges 128-bit word operations of the recurrence: this
+        # cell costs 3 * 2000 * 219 = 1 314 000 and runs in milliseconds.  Its
+        # terms have 7349 digits, past what int() reads from a string.
+        assert main(["overflow", "--k", "10000", "--s", "2000", "--m", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        num, den = (int(Decimal(v)) for v in payload["probability"].split("/"))
+        assert Fraction(num, den) == block_overflow_probability(10000, 2000, 3)
+        assert main(["overflow", "--k", "1000000", "--s", "1000000", "--m", "3"]) == 2
+        assert capsys.readouterr().err == (
+            "binident: error: overflow_transitions: 468753000000 word operations"
+            " exceeds budget 2000000 (override with BINIDENT_BUDGET)\n"
+        )
+
+    def test_overflow_at_m_zero_is_charged_per_throw(self, capsys):
+        # No term survives at m = 0, but the recurrence still takes s steps
+        # and k'**s still has s bits here: without a charge per step this
+        # call would build a list of 10^9 entries.
+        assert main(["overflow", "--k", "2", "--s", "1000000000", "--m", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "binident: error: overflow_transitions: 7812501000000000 word operations"
+            " exceeds budget 2000000 (override with BINIDENT_BUDGET)\n"
+        )
+        assert main(["overflow", "--k", "2", "--s", "3", "--m", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["probability"] == "1"
 
 
 def spec_with(kind, **parameters):
@@ -280,6 +309,20 @@ class TestExperimentCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["rows"] == 3
         assert out_path.exists()
+
+    def test_out_replaces_the_spec_output_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spec.json").write_text(json.dumps({
+            "kind": "hard-pair-search",
+            "parameters": {"m": 1, "b": 4},
+            "output_path": "spec.csv",
+        }))
+        assert main(["experiment", "--spec", "spec.json", "--out", "rows.csv"]) == 0
+        assert (tmp_path / "rows.csv").read_text() == (
+            "kind,m,b,rho,shift_threshold,found,x,y\n"
+            "hard-pair-search,1,4,99/100,4,1,2233,2323\n"
+        )
+        assert not (tmp_path / "spec.csv").exists()
 
     @pytest.mark.parametrize(
         "spec, message",

@@ -17,12 +17,12 @@ from binident import (
     ak_distance,
     brute_force_ak_distance,
     empirical,
-    kolmogorov_distance,
     sample,
     total_variation,
 )
 from binident.distributions import trial_seeds
 from conftest import random_distribution
+from oracles import kolmogorov_distance
 
 
 class TestDistributionConstruction:
@@ -58,6 +58,9 @@ class TestDistributionConstruction:
         assert staircase_p20.mass(0, 8) == Fraction(3, 10)
         assert staircase_p20.mass(8, 17) == Fraction(1, 2)
         assert staircase_p20.mass(17, 20) == Fraction(1, 5)
+
+    def test_repr_lists_exact_masses(self):
+        assert repr(Distribution(["1/2", "1/2"])) == "Distribution([1/2, 1/2])"
 
 
 class TestSampling:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,6 @@ import pytest
 from binident import (
     Distribution,
     ExperimentSpec,
-    IntervalPartition,
     make_hard_instance,
     run_experiment,
 )
@@ -22,13 +22,11 @@ from binident.harness import (
     hard_pair_to_json,
     load_distribution,
     load_hard_pair,
-    partition_from_json,
-    partition_to_json,
     store_distribution,
     store_hard_pair,
 )
 from binident.distributions import trial_seeds
-from binident.lowerbound import block_overflow_trial
+from binident.lowerbound import block_overflow_probability, block_overflow_trial
 from conftest import random_distribution
 
 
@@ -75,16 +73,6 @@ class TestDistributionSerialization:
     def test_json_uses_exact_strings(self, two_mode_p6):
         data = distribution_to_json(two_mode_p6)
         assert data["pmf"][1] == "2/5"
-
-
-class TestPartitionSerialization:
-    def test_round_trip(self):
-        part = IntervalPartition([0, 3, 3, 7])
-        assert partition_from_json(partition_to_json(part)) == part
-
-    def test_rejects_non_arrays(self):
-        with pytest.raises(ValueError, match="integer array"):
-            partition_from_json({"bounds": [0, 1]})
 
 
 # A pair file as written before pair files dropped the four distributions.
@@ -337,6 +325,25 @@ class TestRunExperiment:
         result = run_experiment(spec)
         assert len(result.rows) == 100
         assert set(result.summary["overflow_fraction"]) == {"2", "4"}
+
+    def test_overflow_curve_prints_probabilities_past_4300_digits(self, tmp_path):
+        # An admitted cell whose exact probability has terms of 10 573
+        # digits, which str() refuses to print.
+        out = tmp_path / "overflow.csv"
+        spec = ExperimentSpec(
+            "overflow-curve",
+            {"m": 1, "b": 4, "rho": "1", "k_prime": 10000, "s_grid": [3000]},
+            master_seed=0,
+            trials=1,
+            output_path=str(out),
+        )
+        result = run_experiment(spec)
+        printed = result.summary["exact_probability"]["3000"]
+        num, den = (int(Decimal(v)) for v in printed.split("/"))
+        assert Fraction(num, den) == block_overflow_probability(10000, 3000, 1)
+        assert len(str(Decimal(den))) > 4300
+        header, row = out.read_text().splitlines()
+        assert row.split(",")[header.split(",").index("exact_probability")] == printed
 
     def test_overflow_seeds_follow_trial_seeds(self):
         spec = ExperimentSpec(

@@ -13,9 +13,9 @@ from binident import (
     bin_identity_test,
     error_curve,
     min_binned_discrepancy,
-    partition_discrepancy,
     sample,
 )
+from oracles import partition_discrepancy
 
 
 class TestTestConfig:
